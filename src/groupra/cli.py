@@ -149,23 +149,23 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_matrix(path: str) -> list[list[int]]:
+    """Integer rows of a whitespace-separated file; '#' starts a comment."""
+    rows = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append([int(t) for t in body.split()])
+    return rows
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         if args.family == "cyclic":
             orders = [int(t) for t in args.spec.split(",") if t]
-            rows = []
-            for raw in Path(args.extra).read_text(encoding="utf-8").splitlines():
-                body = raw.split("#", 1)[0].strip()
-                if body:
-                    rows.append([int(t) for t in body.split()])
-            frame = build_cyclic_frame(orders, rows)
+            frame = build_cyclic_frame(orders, _read_matrix(args.extra))
         else:
-            rows = []
-            for raw in Path(args.spec).read_text(encoding="utf-8").splitlines():
-                body = raw.split("#", 1)[0].strip()
-                if body:
-                    rows.append([int(t) for t in body.split()])
-            m = validate_table(rows, "M")
+            m = validate_table(_read_matrix(args.spec), "M")
             n_mask = mask_of(int(t) for t in args.extra.split(",") if t)
             ids = [str(i) for i in range(args.count)]
             if args.blocks:

@@ -37,7 +37,14 @@ class NotRelatedError(ValueError):
 
 
 class InvalidFrameError(ValueError):
-    """Frame data is structurally broken or fails the frame conditions."""
+    """Frame data is structurally broken or fails the frame conditions.
+
+    ``pair`` names a faulty stored record; ``witness`` says why its map is
+    not a quotient isomorphism.
+    """
+
+    pair: tuple[str, str] | None = None
+    witness: str | None = None
 
 
 class UncheckedFrameError(RuntimeError):

@@ -14,6 +14,11 @@ ignored:
                               element of its image K-coset)
     end
 
+The parser checks syntax, ids, blocks, element ranges and table groups,
+and maps representatives onto cosets, which needs H and K normal and the
+map a bijection fixing coset 0.  Frame checks the rest of each record's
+meaning once; a map it rejects is reported at that iso's ``map`` line.
+
 Emission is normalized: declaration order, canonical representatives,
 single spaces.  Emitting a parsed emission reproduces it byte for byte.
 """
@@ -25,18 +30,18 @@ from dataclasses import dataclass, field
 from .errors import (
     FrameFormatError,
     GroupTableError,
-    IncompatibleQuotientsError,
+    InvalidFrameError,
     NotASubgroupError,
+    NotNormalError,
 )
 from .frames import Frame, IsoRecord
 from .groups import (
     CosetSystem,
     FiniteGroup,
-    check_quotient_iso,
+    Mask,
     elements,
     enumerate_cosets,
     is_cyclic_table,
-    is_normal,
     make_cyclic,
     mask_of,
     validate_table,
@@ -191,7 +196,22 @@ def parse_frame(text: str) -> Frame:
                     raise FrameFormatError(line, f"missing iso for in-block pair ({x},{y})")
 
     ordered_blocks = [members for _, members in blocks]
-    return Frame(groups, ordered_blocks, isos)
+    try:
+        return Frame(groups, ordered_blocks, isos)
+    except InvalidFrameError as exc:
+        if exc.witness is None:  # every other fault was reported above
+            raise
+        line = next(d.map_line for d in directives if (d.x, d.y) == exc.pair)
+        raise FrameFormatError(line, f"map is not a quotient isomorphism: {exc.witness}") from None
+
+
+def _cosets(g: FiniteGroup, sub: Mask, line: int, what: str, gid: str) -> CosetSystem:
+    try:
+        return enumerate_cosets(g, sub)
+    except NotASubgroupError as exc:
+        raise FrameFormatError(line, str(exc)) from None
+    except NotNormalError:
+        raise FrameFormatError(line, f"{what} is not normal in group {gid!r}") from None
 
 
 def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord:
@@ -202,20 +222,8 @@ def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord
     for e in d.k_elems:
         if not 0 <= e < gy.order:
             raise FrameFormatError(d.k_line, f"element {e} outside group {d.y!r}")
-    h_mask = mask_of(d.h_elems)
-    k_mask = mask_of(d.k_elems)
-    try:
-        if not is_normal(gx, h_mask):
-            raise FrameFormatError(d.h_line, f"H is not normal in group {d.x!r}")
-    except NotASubgroupError as exc:
-        raise FrameFormatError(d.h_line, str(exc)) from None
-    try:
-        if not is_normal(gy, k_mask):
-            raise FrameFormatError(d.k_line, f"K is not normal in group {d.y!r}")
-    except NotASubgroupError as exc:
-        raise FrameFormatError(d.k_line, str(exc)) from None
-    h_sys = enumerate_cosets(gx, h_mask)
-    k_sys = enumerate_cosets(gy, k_mask)
+    h_sys = _cosets(gx, mask_of(d.h_elems), d.h_line, "H", d.x)
+    k_sys = _cosets(gy, mask_of(d.k_elems), d.k_line, "K", d.y)
     if h_sys.count != k_sys.count:
         raise FrameFormatError(
             d.line, f"incompatible quotients: {h_sys.count} H-cosets vs {k_sys.count} K-cosets"
@@ -233,13 +241,15 @@ def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord
         if not 0 <= k_rep < gy.order:
             raise FrameFormatError(d.map_line, f"entry {gamma}: {k_rep} outside group {d.y!r}")
         mapping.append(k_sys.coset_of(k_rep))
-    try:
-        verdict = check_quotient_iso(gx, h_mask, gy, k_mask, mapping)
-    except IncompatibleQuotientsError as exc:
-        raise FrameFormatError(d.line, str(exc)) from None
-    if not verdict.ok:
-        raise FrameFormatError(d.map_line, f"map is not a quotient isomorphism: {verdict.witness}")
-    image_order = CosetSystem(k_mask, tuple(k_sys.cosets[i] for i in mapping))
+    # image order is a CosetSystem only for a bijection that fixes coset 0
+    if len(set(mapping)) != len(mapping):
+        raise FrameFormatError(d.map_line, "map is not a quotient isomorphism: not injective")
+    if mapping[0] != 0:
+        raise FrameFormatError(
+            d.map_line,
+            f"map is not a quotient isomorphism: identity coset maps to {mapping[0]}, not 0",
+        )
+    image_order = CosetSystem(k_sys.subgroup, tuple(k_sys.cosets[i] for i in mapping))
     return IsoRecord(d.x, d.y, h_sys, image_order)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvalidFrameError, NotRelatedError
+from .errors import InvalidFrameError, NotASubgroupError, NotNormalError, NotRelatedError
 from .groups import (
     CosetSystem,
     FiniteGroup,
@@ -28,7 +28,6 @@ from .groups import (
     complex_product,
     elements,
     enumerate_cosets,
-    is_normal,
     is_subset,
 )
 
@@ -73,26 +72,17 @@ def try_image(record: IsoRecord, subset: Mask) -> Optional[Mask]:
     return out if covered == subset else None
 
 
-def try_preimage(record: IsoRecord, subset: Mask) -> Optional[Mask]:
-    """phi^-1[subset] when subset is an exact union of K-cosets, else None."""
-    out = 0
-    covered = 0
-    for hc, kc in zip(record.h.cosets, record.k.cosets):
-        if is_subset(kc, subset):
-            out |= hc
-            covered |= kc
-    return out if covered == subset else None
-
-
 class Frame:
     """Validated frame data; immutable once constructed.
 
-    Construction checks the shape of everything: blocks partition the
-    declared indices, exactly one record per in-block pair x < y, and each
-    stored record is a genuine quotient isomorphism (normal subgroups,
-    canonical H enumeration, matching quotient sizes, homomorphic pairing).
-    Whether the records fit together as a frame is a separate question,
-    answered by check_frame_full / check_frame_reduced.
+    Construction is the one check of what frame data mean, for builders,
+    callers and parse_frame alike: blocks partition the declared indices,
+    exactly one record per in-block pair x < y, and each stored record is a
+    genuine quotient isomorphism (normal subgroups, canonical H enumeration,
+    matching quotient sizes, homomorphic pairing); the InvalidFrameError
+    for a faulty record names it in ``pair``.  Whether the records fit
+    together as a frame is a separate question, answered by
+    check_frame_full / check_frame_reduced.
     """
 
     def __init__(
@@ -127,7 +117,11 @@ class Frame:
 
         self.isos: dict[tuple[str, str], IsoRecord] = dict(isos)
         for (x, y), record in self.isos.items():
-            self._validate_record(x, y, record)
+            try:
+                self._validate_record(x, y, record)
+            except InvalidFrameError as exc:
+                exc.pair = (x, y)
+                raise
         for block in self.blocks:
             for i, x in enumerate(block):
                 for y in block[i + 1 :]:
@@ -147,26 +141,28 @@ class Frame:
         if self._block_of[x] != self._block_of[y]:
             raise InvalidFrameError(f"isomorphism ({x},{y}) crosses blocks")
         gx, gy = self.groups[x], self.groups[y]
-        if not is_normal(gx, record.h.subgroup):
-            raise InvalidFrameError(f"H for ({x},{y}) = {_fmt(record.h.subgroup)} is not normal")
-        if not is_normal(gy, record.k.subgroup):
-            raise InvalidFrameError(f"K for ({x},{y}) = {_fmt(record.k.subgroup)} is not normal")
-        if record.h != enumerate_cosets(gx, record.h.subgroup):
+        try:
+            canonical_h = enumerate_cosets(gx, record.h.subgroup)
+            canonical_k = enumerate_cosets(gy, record.k.subgroup)
+        except (NotASubgroupError, NotNormalError) as exc:
+            raise InvalidFrameError(f"record ({x},{y}): {exc}") from None
+        if record.h != canonical_h:
             raise InvalidFrameError(f"H-cosets for ({x},{y}) are not in canonical order")
         if record.h.count != record.k.count:
             raise InvalidFrameError(
                 f"quotient sizes for ({x},{y}) differ: {record.h.count} vs {record.k.count}"
             )
-        canonical_k = enumerate_cosets(gy, record.k.subgroup)
         try:
             mapping = [canonical_k.index_of(kc) for kc in record.k.cosets]
         except ValueError:
             raise InvalidFrameError(f"K-cosets for ({x},{y}) are not cosets of K") from None
         verdict = check_quotient_iso(gx, record.h.subgroup, gy, record.k.subgroup, mapping)
         if not verdict.ok:
-            raise InvalidFrameError(
+            exc = InvalidFrameError(
                 f"pair ({x},{y}) is not a quotient isomorphism: {verdict.witness}"
             )
+            exc.witness = verdict.witness
+            raise exc
 
     # -- queries ---------------------------------------------------------
 
@@ -246,22 +242,14 @@ class InducedIso:
 
 
 def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
-    rxy = frame.resolve_iso(x, y)
+    ryx = frame.resolve_iso(y, x)
     ryz = frame.resolve_iso(y, z)
     gy = frame.groups[y]
-    p0 = complex_product(gy, rxy.k.subgroup, ryz.h.subgroup)
+    p0 = complex_product(gy, ryx.h.subgroup, ryz.h.subgroup)
     p = enumerate_cosets(gy, p0)
-    m_cosets = []
-    n_cosets = []
-    for pc in p.cosets:
-        m = try_preimage(rxy, pc)
-        n = try_image(ryz, pc)
-        if m is None or n is None:
-            raise InvalidFrameError(
-                f"coarse coset {_fmt(pc)} does not split along ({x},{y},{z})"
-            )
-        m_cosets.append(m)
-        n_cosets.append(n)
+    # P0 contains K_xy and H_yz, so each of its cosets has both images
+    m_cosets = [try_image(ryx, pc) for pc in p.cosets]
+    n_cosets = [try_image(ryz, pc) for pc in p.cosets]
     return InducedIso(
         x,
         y,

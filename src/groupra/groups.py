@@ -52,14 +52,7 @@ def mask_of(elems: Iterable[int]) -> Mask:
 
 def elements(mask: Mask) -> list[int]:
     """Element indices of a bitmask, ascending."""
-    out = []
-    e = 0
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+    return list(iter_bits(mask))
 
 
 def iter_bits(mask: Mask) -> Iterator[int]:
@@ -320,17 +313,18 @@ def right_translate(g: FiniteGroup, a: Mask, y: int) -> Mask:
 def quotient_group(g: FiniteGroup, h: Mask) -> FiniteGroup:
     """The quotient of g by a normal subgroup, on canonical coset indices.
 
-    Coset index 0 (the subgroup) is the identity, so no renumbering happens;
-    the table goes through validate_table as a safety net.
+    Products and inverses are read off the least coset representatives.
+    Coset index 0 (the subgroup) is the identity, so no renumbering happens,
+    and the axioms need no re-proof: g is a group and enumerate_cosets has
+    just proven h normal in it.
     """
     system = enumerate_cosets(g, h)
-    reps = [elements(c)[0] for c in system.cosets]
-    table = [
-        [system.coset_of(g.mul(ra, rb)) for rb in reps]
-        for ra in reps
-    ]
+    where = {e: i for i, coset in enumerate(system.cosets) for e in iter_bits(coset)}
+    reps = [(c & -c).bit_length() - 1 for c in system.cosets]
+    op = tuple(tuple(where[g.op[ra][rb]] for rb in reps) for ra in reps)
+    inverse = tuple(where[g.inverse[r]] for r in reps)
     subgroup_label = "{" + ",".join(map(str, elements(h))) + "}"
-    return validate_table(table, f"{g.label}/{subgroup_label}")
+    return FiniteGroup(len(reps), op, inverse, f"{g.label}/{subgroup_label}")
 
 
 @dataclass(frozen=True)

@@ -442,6 +442,94 @@ def test_error_map_not_isomorphism():
     )
 
 
+def test_error_map_not_injective():
+    expect_error(
+        lines(
+            "group 0 cyclic 6",
+            "group 1 cyclic 9",
+            "block 0 1",
+            "iso 0 1",
+            "H 0 3",
+            "K 0 3 6",
+            "map 0:0 1:1 2:1",
+            "end",
+        ),
+        7,
+        "map is not a quotient isomorphism: not injective",
+    )
+
+
+def test_error_map_moves_identity_coset():
+    expect_error(
+        lines(
+            "group 0 cyclic 6",
+            "group 1 cyclic 9",
+            "block 0 1",
+            "iso 0 1",
+            "H 0 3",
+            "K 0 3 6",
+            "map 0:1 1:0 2:2",
+            "end",
+        ),
+        7,
+        "map is not a quotient isomorphism: identity coset maps to 1, not 0",
+    )
+
+
+def test_error_second_map_not_isomorphism():
+    expect_error(
+        lines(
+            "group 0 cyclic 6",
+            "group 1 cyclic 9",
+            "group 2 cyclic 4",
+            "group 3 cyclic 4",
+            "block 0 1",
+            "block 2 3",
+            "iso 0 1",
+            "H 0 3",
+            "K 0 3 6",
+            "map 0:0 1:1 2:2",
+            "end",
+            "iso 2 3",
+            "H 0",
+            "K 0",
+            "map 0:0 1:2 2:1 3:3",
+            "end",
+        ),
+        15,
+        "map is not a quotient isomorphism: not homomorphic at cosets (1,1)",
+    )
+
+
+def test_parse_checks_each_record_once(monkeypatch):
+    import groupra.fileformat
+    import groupra.frames
+    import groupra.groups
+
+    frame = merge_frames(
+        [
+            build_cyclic_frame([6, 9], {(0, 1): 3}),
+            build_power_frame(validate_table(KLEIN, label="V4"), 0b11, ["a", "b", "c"]),
+        ]
+    )
+    text = emit_frame(frame)
+    calls = {"check_quotient_iso": 0, "validate_table": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (groupra.groups, groupra.frames, groupra.fileformat):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert parse_frame(text) == frame
+    assert calls == {"check_quotient_iso": len(frame.isos), "validate_table": 3}
+
+
 def test_error_object_carries_line_and_reason():
     with pytest.raises(FrameFormatError) as info:
         parse_frame(lines("argle"))

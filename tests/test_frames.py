@@ -13,7 +13,6 @@ from groupra.frames import (
     check_frame_reduced,
     induced_iso,
     try_image,
-    try_preimage,
 )
 from groupra.groups import CosetSystem, elements, enumerate_cosets, make_cyclic, mask_of
 
@@ -58,8 +57,9 @@ def test_try_image_and_preimage():
     assert try_image(record, mask_of([0, 3, 1, 4])) == mask_of([0, 3, 6, 1, 4, 7])
     assert try_image(record, 0) == 0
     assert try_image(record, mask_of([1])) is None  # not a full coset
-    assert try_preimage(record, mask_of([2, 5, 8])) == mask_of([2, 5])
-    assert try_preimage(record, mask_of([2, 5])) is None
+    back = running_pair().resolve_iso("1", "0")  # preimages are images under the reverse
+    assert try_image(back, mask_of([2, 5, 8])) == mask_of([2, 5])
+    assert try_image(back, mask_of([2, 5])) is None
 
 
 def test_resolve_stored_and_derived():
@@ -155,6 +155,19 @@ def test_ctor_rejects_non_normal_h():
             [["0", "1"]],
             {("0", "1"): IsoRecord("0", "1", system, system)},
         )
+
+
+def test_ctor_rejects_non_subgroup_h():
+    not_a_subgroup = CosetSystem(
+        mask_of([0, 1]), (mask_of([0, 1]), mask_of([2, 3]), mask_of([4, 5]))
+    )
+    with pytest.raises(InvalidFrameError, match="is not a subgroup") as info:
+        Frame(
+            {"0": Z6, "1": Z9},
+            [["0", "1"]],
+            {("0", "1"): IsoRecord("0", "1", not_a_subgroup, K9)},
+        )
+    assert info.value.pair == ("0", "1")
 
 
 def test_ctor_rejects_non_canonical_h_order():

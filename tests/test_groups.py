@@ -272,6 +272,51 @@ def test_quotient_group_s3_by_rotations():
     assert q.op == ((0, 1), (1, 0))
 
 
+def perm_group(label, *gens):
+    """The group generated by permutation tuples, identity first."""
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for p in elems:
+        for s in gens:
+            q = tuple(p[i] for i in s)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    table = [[index[tuple(p[i] for i in q)] for q in elems] for p in elems]
+    return validate_table(table, label)
+
+
+def closure(g, a, b):
+    sub = {0, a, b}
+    while True:
+        more = {g.mul(x, y) for x in sub for y in sub} - sub
+        if not more:
+            return mask_of(sub)
+        sub |= more
+
+
+@pytest.mark.parametrize(
+    "label, gens, order, subgroup_count, normal_count",
+    [
+        ("S3", [(1, 0, 2), (1, 2, 0)], 6, 6, 3),
+        ("D4", [(1, 2, 3, 0), (0, 3, 2, 1)], 8, 10, 6),
+        ("Q8", [(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)], 8, 6, 6),
+        ("A4", [(1, 2, 0, 3), (1, 0, 3, 2)], 12, 10, 3),
+    ],
+)
+def test_quotient_group_is_a_group(label, gens, order, subgroup_count, normal_count):
+    g = perm_group(label, *gens)
+    assert g.order == order
+    subgroups = {closure(g, a, b) for a in g.elements() for b in g.elements()}
+    assert len(subgroups) == subgroup_count
+    normal = [n for n in subgroups if is_normal(g, n)]
+    assert len(normal) == normal_count
+    for n in normal:
+        q = quotient_group(g, n)
+        assert q.order * n.bit_count() == order
+        assert q == validate_table(q.op)
+
+
 def test_check_quotient_iso_identity_map():
     z6, z9 = make_cyclic(6), make_cyclic(9)
     result = check_quotient_iso(z6, mask_of([0, 3]), z9, mask_of([0, 3, 6]), (0, 1, 2))
