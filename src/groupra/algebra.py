@@ -5,15 +5,20 @@ the alpha-th relation glues H-cosets to shifted K-cosets.  Everything the
 algebra does (converse, composition, the Boolean operations) happens on
 atom index sets; concrete pair sets are only materialized on request, which
 is what the relation oracle then cross-checks.
+
+Composition is read off the isomorphism that frames.induced_iso induces for
+a related triple (x,y,z): condition (iv) holds exactly when it makes every
+composition of two atoms a union of atoms, so one lookup rule per triple,
+built on first use, answers every atom pair of that triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from .frames import Frame, check_frame_reduced
+from .frames import Frame, check_frame_reduced, induced_iso
 from .groups import (
     complex_inverse,
     complex_product,
@@ -153,7 +158,7 @@ class GroupRelationAlgebra:
                     atoms.extend(AtomIndex(x, y, a) for a in range(kappa))
         self._atoms = tuple(atoms)
         self.all_atoms = frozenset(atoms)
-        self._compose_cache: dict[tuple[AtomIndex, AtomIndex], frozenset[AtomIndex]] = {}
+        self._rules: dict[tuple[str, str, str], Callable[[int, int], frozenset[AtomIndex]]] = {}
         self._relation_cache: dict[AtomIndex, ConcreteRelation] = {}
 
     # -- atom bookkeeping ------------------------------------------------
@@ -192,32 +197,39 @@ class GroupRelationAlgebra:
         return AtomIndex(a.y, a.x, record.h.index_of(inv))
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
-        key = (a, b)
-        hit = self._compose_cache.get(key)
-        if hit is None:
-            hit = self._compose_atoms_raw(a, b)
-            self._compose_cache[key] = hit
-        return FrameElement(self, hit)
-
-    def _compose_atoms_raw(self, a: AtomIndex, b: AtomIndex) -> frozenset[AtomIndex]:
+        """a;b, empty unless a.y == b.x; read off induced_iso(frame, x, y, z)."""
         self._require_atom(a)
         self._require_atom(b)
+        return FrameElement(self, self._compose(a, b))
+
+    def _compose(self, a: AtomIndex, b: AtomIndex) -> frozenset[AtomIndex]:
         if a.y != b.x:
             return frozenset()
+        key = (a.x, a.y, b.y)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = self._rule(*key)
+        return rule(a.alpha, b.alpha)
+
+    def _rule(self, x: str, y: str, z: str) -> Callable[[int, int], frozenset[AtomIndex]]:
+        """How the atoms of (x,y) compose with the atoms of (y,z).
+
+        K_alpha*H_beta is the P0-coset of k*h for any k in K_alpha and h in
+        H_beta, because K_xy is normal; the least coset elements serve as k
+        and h.  The composite holds the (x,z) atoms whose H_xz-cosets lie in
+        the M0-coset that the induced isomorphism pairs with that P0-coset.
+        """
         frame = self.frame
-        rxy = frame.resolve_iso(a.x, a.y)
-        ryz = frame.resolve_iso(b.x, b.y)
-        rxz = frame.resolve_iso(a.x, b.y)
-        t = complex_product(frame.groups[a.y], rxy.k.cosets[a.alpha], ryz.h.cosets[b.alpha])
-        m = 0
-        for hc, kc in zip(rxy.h.cosets, rxy.k.cosets):
-            if is_subset(kc, t):
-                m |= hc
-        return frozenset(
-            AtomIndex(a.x, b.y, g)
-            for g, hc in enumerate(rxz.h.cosets)
-            if is_subset(hc, m)
-        )
+        ind = induced_iso(frame, x, y, z)
+        hxz = frame.resolve_iso(x, z).h.cosets
+        atoms_at: list = [None] * frame.groups[y].order
+        for mc, pc in zip(ind.m.cosets, ind.p.cosets):
+            inside = frozenset(AtomIndex(x, z, g) for g, hc in enumerate(hxz) if is_subset(hc, mc))
+            for e in iter_bits(pc):
+                atoms_at[e] = inside
+        k_rows = [frame.groups[y].op[next(iter_bits(c))] for c in frame.resolve_iso(x, y).k.cosets]
+        h_reps = [next(iter_bits(c)) for c in frame.resolve_iso(y, z).h.cosets]
+        return lambda alpha, beta: atoms_at[k_rows[alpha][h_reps[beta]]]
 
     def fast_compose_subidentity(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
         """Closed-form composition when a square pair is involved.
@@ -255,7 +267,7 @@ class GroupRelationAlgebra:
         for a in e1.atoms:
             for b in e2.atoms:
                 if a.y == b.x:
-                    acc |= self.compose_atoms(a, b).atoms
+                    acc |= self._compose(a, b)
         return FrameElement(self, frozenset(acc))
 
     # -- materialization -------------------------------------------------

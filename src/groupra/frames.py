@@ -17,6 +17,7 @@ the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidFrameError, NotASubgroupError, NotNormalError, NotRelatedError
@@ -82,7 +83,9 @@ class Frame:
     matching quotient sizes, homomorphic pairing); the InvalidFrameError
     for a faulty record names it in ``pair``.  Whether the records fit
     together as a frame is a separate question, answered by
-    check_frame_full / check_frame_reduced.
+    check_frame_full / check_frame_reduced.  ``groups`` and ``isos`` are
+    read-only mappings, so the verdict a check caches on the frame (and the
+    composition rules an algebra caches) stay true of it.
     """
 
     def __init__(
@@ -91,7 +94,7 @@ class Frame:
         blocks: Sequence[Sequence[str]],
         isos: Mapping[tuple[str, str], IsoRecord],
     ):
-        self.groups: dict[str, FiniteGroup] = dict(groups)
+        self.groups: Mapping[str, FiniteGroup] = MappingProxyType(dict(groups))
         self.order: tuple[str, ...] = tuple(self.groups)
         self.pos: dict[str, int] = {x: i for i, x in enumerate(self.order)}
 
@@ -115,7 +118,7 @@ class Frame:
             x: i for i, b in enumerate(self.blocks) for x in b
         }
 
-        self.isos: dict[tuple[str, str], IsoRecord] = dict(isos)
+        self.isos: Mapping[tuple[str, str], IsoRecord] = MappingProxyType(dict(isos))
         for (x, y), record in self.isos.items():
             try:
                 self._validate_record(x, y, record)

@@ -56,12 +56,11 @@ def elements(mask: Mask) -> list[int]:
 
 
 def iter_bits(mask: Mask) -> Iterator[int]:
-    e = 0
+    """Set bit positions of a mask, ascending, one step per set bit."""
     while mask:
-        if mask & 1:
-            yield e
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_subset(a: Mask, b: Mask) -> bool:
@@ -202,14 +201,10 @@ def is_normal(g: FiniteGroup, h: Mask) -> bool:
 
     Raises NotASubgroupError (with a witness) if h is not even a subgroup.
     """
-    defect = subgroup_defect(g, h)
-    if defect is not None:
-        raise NotASubgroupError(f"{elements(h)} is not a subgroup of {g.label}: {defect}")
-    for a in g.elements():
-        ai = g.inv(a)
-        for b in iter_bits(h):
-            if not h >> g.mul(g.mul(a, b), ai) & 1:
-                return False
+    try:
+        enumerate_cosets(g, h)
+    except NotNormalError:
+        return False
     return True
 
 
@@ -262,15 +257,22 @@ class CosetSystem:
 
 def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
     """Canonical coset system of a normal subgroup: h first, then ascending
-    by least element."""
-    if not is_normal(g, h):
-        raise NotNormalError(f"{elements(h)} is not normal in {g.label}")
+    by least element.
+
+    Normality is proven along the way: h is normal iff aH = Ha for one a in
+    each left coset, since for g = a*h0 both gH and Hg equal aH.
+    """
+    defect = subgroup_defect(g, h)
+    if defect is not None:
+        raise NotASubgroupError(f"{elements(h)} is not a subgroup of {g.label}: {defect}")
     rest = []
     seen = h
     for a in g.elements():
         if seen >> a & 1:
             continue
-        coset = mask_of(g.mul(a, b) for b in iter_bits(h))
+        coset = left_translate(g, a, h)
+        if coset != right_translate(g, h, a):
+            raise NotNormalError(f"{elements(h)} is not normal in {g.label}")
         rest.append(coset)
         seen |= coset
     # ascending least element == discovery order, since we scan elements in order

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, iter_bits
 
 __all__ = [
     "ConcreteRelation",
@@ -51,15 +51,7 @@ class ConcreteRelation:
 
     def pairs(self) -> list[tuple[int, int]]:
         """All (a, b) in the relation, lexicographically sorted."""
-        out = []
-        for a, row in enumerate(self.rows):
-            b = 0
-            while row:
-                if row & 1:
-                    out.append((a, b))
-                row >>= 1
-                b += 1
-        return out
+        return [(a, b) for a, row in enumerate(self.rows) for b in iter_bits(row)]
 
     def count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
@@ -84,12 +76,8 @@ def rel_compose(r: ConcreteRelation, s: ConcreteRelation) -> ConcreteRelation:
     rows = []
     for row in r.rows:
         acc = 0
-        b = 0
-        while row:
-            if row & 1:
-                acc |= s.rows[b]
-            row >>= 1
-            b += 1
+        for b in iter_bits(row):
+            acc |= s.rows[b]
         rows.append(acc)
     return ConcreteRelation(n, tuple(rows))
 
@@ -98,12 +86,8 @@ def rel_converse(r: ConcreteRelation) -> ConcreteRelation:
     rows = [0] * r.size
     for a, row in enumerate(r.rows):
         bit = 1 << a
-        b = 0
-        while row:
-            if row & 1:
-                rows[b] |= bit
-            row >>= 1
-            b += 1
+        for b in iter_bits(row):
+            rows[b] |= bit
     return ConcreteRelation(r.size, tuple(rows))
 
 

@@ -1,5 +1,7 @@
 """Tests for the symbolic algebra: atoms, operations, materialization, reports."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,15 @@ from hypothesis import strategies as st
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.builders import build_cyclic_frame
 from groupra.errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from groupra.frames import Frame, IsoRecord, check_frame_reduced
-from groupra.groups import enumerate_cosets, make_cyclic, mask_of
+from groupra.frames import Frame, IsoRecord, check_frame_full, check_frame_reduced
+from groupra.groups import (
+    CosetSystem,
+    FiniteGroup,
+    enumerate_cosets,
+    make_cyclic,
+    mask_of,
+    validate_table,
+)
 from groupra.relations import (
     cayley_relation,
     identity_on,
@@ -16,6 +25,7 @@ from groupra.relations import (
     rel_converse,
     rel_union,
 )
+from groupra.verification import check_oracle_composition
 
 from tests.helpers import corrupt_kappa
 import random
@@ -117,6 +127,87 @@ def test_compose_atoms_cached():
     first = ALG.compose_atoms(a, b)
     second = ALG.compose_atoms(a, b)
     assert first.atoms is second.atoms
+
+
+def test_composition_reads_one_rule_per_triple(monkeypatch):
+    import groupra.algebra
+
+    triples = []
+    real = groupra.algebra.induced_iso
+
+    def counting(frame, x, y, z):
+        triples.append((x, y, z))
+        return real(frame, x, y, z)
+
+    def refuse(*args):
+        raise AssertionError("compose_atoms called complex_product")
+
+    monkeypatch.setattr(groupra.algebra, "induced_iso", counting)
+    monkeypatch.setattr(groupra.algebra, "complex_product", refuse)
+    alg = fresh_running_algebra()
+    for _ in range(2):
+        for a in alg.atoms():
+            for b in alg.atoms():
+                alg.compose_atoms(a, b)
+    assert sorted(triples) == sorted(itertools.product("01", repeat=3))
+
+
+def dihedral_square() -> FiniteGroup:
+    """D4 as the symmetries of a square's vertices 0..3, identity first."""
+    perms = [(0, 1, 2, 3)]
+    for p in perms:
+        for gen in [(1, 2, 3, 0), (0, 3, 2, 1)]:
+            q = tuple(p[i] for i in gen)
+            if q not in perms:
+                perms.append(q)
+    index = {p: n for n, p in enumerate(perms)}
+    return validate_table([[index[tuple(p[i] for i in q)] for q in perms] for p in perms], "D4")
+
+
+def quaternion_units() -> FiniteGroup:
+    """Q8 as the units +-1, +-i, +-j, +-k under quaternion multiplication."""
+    units = [(sign, axis) for sign in (1, -1) for axis in "1ijk"]
+
+    def mul(p, q):
+        (s, a), (t, b) = p, q
+        if a == "1" or b == "1":
+            return (s * t, b if a == "1" else a)
+        if a == b:
+            return (-s * t, "1")
+        cyclic = 1 if a + b in "ijki" else -1
+        return (s * t * cyclic, ({"i", "j", "k"} - {a, b}).pop())
+
+    index = {u: n for n, u in enumerate(units)}
+    return validate_table([[index[mul(p, q)] for q in units] for p in units], "Q8")
+
+
+def centre(g: FiniteGroup) -> int:
+    return mask_of(
+        a for a in g.elements() if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())
+    )
+
+
+def test_d4_q8_d4_glued_along_centres_under_every_map_choice():
+    groups = {"0": dihedral_square(), "1": quaternion_units(), "2": dihedral_square()}
+    systems = {x: enumerate_cosets(g, centre(g)) for x, g in groups.items()}
+    assert all(s.count == 4 for s in systems.values())
+    pairs = [("0", "1"), ("0", "2"), ("1", "2")]
+    passed = 0
+    # every bijection of V4 that fixes the identity is an automorphism
+    for maps in itertools.product(itertools.permutations((1, 2, 3)), repeat=3):
+        isos = {}
+        for (x, y), order in zip(pairs, maps):
+            k = systems[y]
+            image = CosetSystem(k.subgroup, (k.subgroup, *(k.cosets[i] for i in order)))
+            isos[(x, y)] = IsoRecord(x, y, systems[x], image)
+        frame = Frame(groups, [["0", "1", "2"]], isos)
+        full = check_frame_full(frame).ok
+        reduced = check_frame_reduced(frame).ok
+        assert full == reduced, maps
+        if reduced:
+            passed += 1
+            assert check_oracle_composition(GroupRelationAlgebra(frame)) == [], maps
+    assert passed == 36
 
 
 def test_fast_paths_match_generic_composition():

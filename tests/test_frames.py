@@ -263,6 +263,17 @@ def test_perturbed_map_fails_both_checks():
     assert str(reduced.violations[0]).startswith("violation (iv) at (0,1,2)")
 
 
+def test_checked_frame_cannot_be_mutated():
+    frame = build_cyclic_frame([4, 8, 12], {(i, j): 4 for i in range(3) for j in range(i + 1, 3)})
+    assert check_frame_reduced(frame).ok
+    twisted = corrupt_map(frame, ("0", "1"), 3).isos[("0", "1")]
+    with pytest.raises(TypeError):
+        frame.isos[("0", "1")] = twisted
+    with pytest.raises(TypeError):
+        frame.groups["0"] = make_cyclic(4)
+    assert frame.isos[("0", "1")] != twisted
+
+
 def test_mismatched_kappa_fails_both_checks():
     bad = corrupt_kappa(random.Random(3))
     full = check_frame_full(bad)

@@ -143,3 +143,24 @@ def test_oracle_laws_on_random_relations():
         assert rel_converse(rel_union(r, s)) == rel_union(
             rel_converse(r), rel_converse(s)
         )
+
+
+def pair_compose(r, s):
+    return {(a, c) for a, b in r for b2, c in s if b == b2}
+
+
+def test_compose_and_converse_at_high_ids_of_a_large_base():
+    size = 600
+    shift = {a: 576 + (a - 576 + 5) % 24 for a in range(576, 600)}
+    rng = random.Random(600)
+    sparse = [
+        {(rng.randrange(500, size), rng.randrange(500, size)) for _ in range(300)}
+        for _ in range(3)
+    ]
+    relations = [set(shift.items()), *sparse]
+    for r in relations:
+        rr = ConcreteRelation.from_pairs(size, r)
+        assert set(rel_converse(rr).pairs()) == {(b, a) for a, b in r}
+        for s in relations:
+            got = rel_compose(rr, ConcreteRelation.from_pairs(size, s))
+            assert set(got.pairs()) == pair_compose(r, s)
