@@ -29,7 +29,13 @@ def _fmt_mask(mask: int) -> str:
 
 
 def _load_frame(path: str) -> Frame:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as the parser does; the text before the bad byte decodes
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise FrameFormatError(line, f"not UTF-8 text (byte {exc.start})") from None
     return parse_frame(text)
 
 

@@ -12,13 +12,19 @@ get derived on demand:
 The K-side coset list of a record is kept in image order: k.cosets[g] is
 phi applied to h.cosets[g], so the index map of every record is literally
 the identity.
+
+The frame checks read conditions (iii) and (iv) of each related triple off
+one induced isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 (induced_iso): the image
+equation says M0 = H_xy*H_xz and N0 = K_xz*K_yz, and (iv) says that phi_xz
+maps each M0-coset onto the matching N0-coset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidFrameError, NotASubgroupError, NotNormalError, NotRelatedError
 from .groups import (
@@ -30,6 +36,7 @@ from .groups import (
     elements,
     enumerate_cosets,
     is_subset,
+    iter_bits,
 )
 
 __all__ = [
@@ -102,6 +109,8 @@ class Frame:
         normalized = []
         for block in blocks:
             members = list(block)
+            if not members:
+                raise InvalidFrameError("empty block")
             for x in members:
                 if x not in self.groups:
                     raise InvalidFrameError(f"block mentions unknown index {x!r}")
@@ -228,12 +237,13 @@ class Frame:
 
 @dataclass(frozen=True)
 class InducedIso:
-    """Isomorphisms induced on quotients by the coarse subgroups of a triple.
+    """The isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 that phi_xy and phi_yz induce.
 
     For indices x, y, z the coarse subgroups are P0 = K_xy*H_yz inside G_y,
     M0 its preimage under phi_xy, and N0 its image under phi_yz.  The three
     coset lists run in parallel: m.cosets[i] maps to p.cosets[i] maps to
-    n.cosets[i] under the induced maps.
+    n.cosets[i] under the induced maps.  Frame conditions (iii) and (iv) of
+    the triple are both read off this one object (see _check_triple).
     """
 
     x: str
@@ -244,23 +254,52 @@ class InducedIso:
     n: CosetSystem
 
 
+def _system(cosets: Sequence[Mask]) -> CosetSystem:
+    return CosetSystem(cosets[0], tuple(cosets))
+
+
+def _product_cosets(a: CosetSystem, b: CosetSystem) -> CosetSystem:
+    """Canonical cosets of A*B for normal A and B, from their coset lists.
+
+    The coset uA*B is the union of vB over v in uA, so it is the union of the
+    B-cosets that meet uA; no subgroup or normality proof is needed.
+    """
+    coset_at = {e: bc for bc in b.cosets for e in iter_bits(bc)}
+    out: list[Mask] = []
+    covered = 0
+    for ac in a.cosets:
+        if ac & covered:
+            continue
+        coset = 0
+        for e in iter_bits(ac):
+            coset |= coset_at[e]
+        out.append(coset)
+        covered |= coset
+    out.sort(key=lambda c: c & -c)
+    return _system(out)
+
+
+def _coarse_images(record: IsoRecord, coarse: Sequence[Mask]) -> list[Mask]:
+    """phi of each coset of a coarse subgroup that contains H.
+
+    Each H-coset lies in the coarse coset that holds its least element, so
+    one pass over the record's paired coset lists collects every image.
+    """
+    where = {e: i for i, c in enumerate(coarse) for e in iter_bits(c)}
+    out = [0] * len(coarse)
+    for hc, kc in zip(record.h.cosets, record.k.cosets):
+        out[where[(hc & -hc).bit_length() - 1]] |= kc
+    return out
+
+
 def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
     ryx = frame.resolve_iso(y, x)
     ryz = frame.resolve_iso(y, z)
-    gy = frame.groups[y]
-    p0 = complex_product(gy, ryx.h.subgroup, ryz.h.subgroup)
-    p = enumerate_cosets(gy, p0)
     # P0 contains K_xy and H_yz, so each of its cosets has both images
-    m_cosets = [try_image(ryx, pc) for pc in p.cosets]
-    n_cosets = [try_image(ryz, pc) for pc in p.cosets]
-    return InducedIso(
-        x,
-        y,
-        z,
-        CosetSystem(m_cosets[0], tuple(m_cosets)),
-        p,
-        CosetSystem(n_cosets[0], tuple(n_cosets)),
-    )
+    p = _product_cosets(ryx.h, ryz.h)
+    m = _system(_coarse_images(ryx, p.cosets))
+    n = _system(_coarse_images(ryz, p.cosets))
+    return InducedIso(x, y, z, m, p, n)
 
 
 # -- frame conditions ----------------------------------------------------
@@ -312,80 +351,54 @@ def _check_converse(frame: Frame, x: str, y: str) -> list[Violation]:
     return []
 
 
-def _check_image(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Violation]:
-    rxy = frame.resolve_iso(x, y)
-    ryz = frame.resolve_iso(y, z)
-    rxz = frame.resolve_iso(x, z)
-    gx = frame.groups[x]
-    gy = frame.groups[y]
-    gz = frame.groups[z]
-    out = []
-    src = complex_product(gx, rxy.h.subgroup, rxz.h.subgroup)
-    lhs = try_image(rxy, src)
-    rhs = complex_product(gy, rxy.k.subgroup, ryz.h.subgroup)
-    if lhs is None:
-        out.append(Violation("iii", (x, y, z), f"{_fmt(src)} is not a union of H-cosets"))
-    elif lhs != rhs:
-        out.append(
-            Violation("iii", (x, y, z), f"image of H_xy*H_xz is {_fmt(lhs)}, expected {_fmt(rhs)}")
-        )
-    if both:
-        lhs2 = try_image(ryz, rhs)
-        rhs2 = complex_product(gz, rxz.k.subgroup, ryz.k.subgroup)
-        if lhs2 is None:
-            out.append(Violation("iii", (x, y, z), f"{_fmt(rhs)} is not a union of H-cosets"))
-        elif lhs2 != rhs2:
-            out.append(
-                Violation(
-                    "iii", (x, y, z), f"image of K_xy*H_yz is {_fmt(lhs2)}, expected {_fmt(rhs2)}"
-                )
-            )
-    return out
+def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Violation]:
+    """Conditions (iii) and (iv) at one triple, read off its induced isomorphism.
 
-
-def _check_induced(frame: Frame, x: str, y: str, z: str) -> list[Violation]:
+    (iii) holds iff M0 = H_xy*H_xz (and, with ``both``, N0 = K_xz*K_yz);
+    (iv) iff H_xz lies inside M0 and phi_xz maps each M0-coset onto the
+    matching N0-coset.
+    """
     ind = induced_iso(frame, x, y, z)
+    rxy = frame.resolve_iso(x, y)
     rxz = frame.resolve_iso(x, z)
-    if not is_subset(rxz.h.subgroup, ind.m.subgroup):
-        return [
-            Violation(
-                "iv",
-                (x, y, z),
-                f"H_xz = {_fmt(rxz.h.subgroup)} is not inside M0 = {_fmt(ind.m.subgroup)}",
-            )
-        ]
-    out = []
-    for mc, nc in zip(ind.m.cosets, ind.n.cosets):
-        img = try_image(rxz, mc)
-        if img != nc:
-            shown = "not a union of H_xz-cosets" if img is None else _fmt(img)
-            out.append(
-                Violation(
-                    "iv",
-                    (x, y, z),
-                    f"direct image of {_fmt(mc)} is {shown}, induced route gives {_fmt(nc)}",
-                )
-            )
-    return out
+    m0, p0, n0 = ind.m.subgroup, ind.p.subgroup, ind.n.subgroup
+    found = []
+    hh = complex_product(frame.groups[x], rxy.h.subgroup, rxz.h.subgroup)
+    if m0 != hh:
+        lhs = try_image(rxy, hh)  # only the report needs phi_xy(H_xy*H_xz) itself
+        found.append(("iii", f"image of H_xy*H_xz is {_fmt(lhs)}, expected {_fmt(p0)}"))
+    if both:
+        kk = complex_product(frame.groups[z], rxz.k.subgroup, frame.resolve_iso(y, z).k.subgroup)
+        if n0 != kk:
+            found.append(("iii", f"image of K_xy*H_yz is {_fmt(n0)}, expected {_fmt(kk)}"))
+    if not is_subset(rxz.h.subgroup, m0):
+        found.append(("iv", f"H_xz = {_fmt(rxz.h.subgroup)} is not inside M0 = {_fmt(m0)}"))
+    else:
+        direct = _coarse_images(rxz, ind.m.cosets)
+        for mc, img, nc in zip(ind.m.cosets, direct, ind.n.cosets):
+            if img != nc:
+                shown = f"{_fmt(mc)} is {_fmt(img)}, induced route gives {_fmt(nc)}"
+                found.append(("iv", f"direct image of {shown}"))
+    return [Violation(condition, (x, y, z), detail) for condition, detail in found]
 
 
-def check_frame_full(frame: Frame) -> FrameCheckReport:
-    """Check the frame conditions over every related pair and triple."""
+def _sweep(frame: Frame, mode: str, tuples: Callable, both: bool) -> FrameCheckReport:
     violations: list[Violation] = []
     for block in frame.blocks:
         for x in block:
             violations += _check_identity(frame, x)
-        for x in block:
-            for y in block:
-                violations += _check_converse(frame, x, y)
-        for x in block:
-            for y in block:
-                for z in block:
-                    violations += _check_image(frame, x, y, z, both=False)
-                    violations += _check_induced(frame, x, y, z)
-    report = FrameCheckReport("full", tuple(violations))
+        for x, y in tuples(block, 2):
+            violations += _check_converse(frame, x, y)
+        for x, y, z in tuples(block, 3):
+            violations += _check_triple(frame, x, y, z, both)
+    report = FrameCheckReport(mode, tuple(violations))
     frame._verdict = report
     return report
+
+
+def check_frame_full(frame: Frame) -> FrameCheckReport:
+    """Check the frame conditions over every related pair and triple."""
+    return _sweep(frame, "full", lambda block, r: product(block, repeat=r), both=False)
 
 
 def check_frame_reduced(frame: Frame) -> FrameCheckReport:
@@ -395,18 +408,4 @@ def check_frame_reduced(frame: Frame) -> FrameCheckReport:
     induced-map conditions for x < y < z, with a second image equation that
     the full sweep would reach through descending triples.
     """
-    violations: list[Violation] = []
-    for block in frame.blocks:
-        for x in block:
-            violations += _check_identity(frame, x)
-        for i, x in enumerate(block):
-            for y in block[i + 1 :]:
-                violations += _check_converse(frame, x, y)
-        for i, x in enumerate(block):
-            for j, y in enumerate(block[i + 1 :], i + 1):
-                for z in block[j + 1 :]:
-                    violations += _check_image(frame, x, y, z, both=True)
-                    violations += _check_induced(frame, x, y, z)
-    report = FrameCheckReport("reduced", tuple(violations))
-    frame._verdict = report
-    return report
+    return _sweep(frame, "reduced", combinations, both=True)

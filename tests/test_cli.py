@@ -75,6 +75,18 @@ def test_validate_parse_error(capsys, tmp_path):
     assert err == "parse error: line 1: unknown directive 'blart'\n"
 
 
+def test_validate_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "binary.frame"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1: not UTF-8 text (byte 0)\n"
+    path.write_bytes(b"group 0 cyclic 2\n# caf\xe9\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2: not UTF-8 text (byte 22)\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/file.frame")
     assert code == 2
@@ -236,6 +248,14 @@ def test_gen_power_round_trip(capsys, tmp_path):
     frame = parse_frame(out)
     assert frame == build_power_frame(make_cyclic(2), 1, ["0", "1", "2"])
     assert emit_frame(frame) == out
+
+
+def test_gen_power_without_copies(capsys, tmp_path):
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    for count in ("0", "-1"):
+        code, out, err = run_cli(capsys, "gen", "power", str(table), "0", count)
+        assert (code, out, err) == (1, "", "empty block\n")
 
 
 def test_gen_power_with_blocks(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupra.builders import build_cyclic_frame
+from groupra.builders import build_cyclic_frame, cyclic_iso_record
 from groupra.errors import InvalidFrameError, NotRelatedError
 from groupra.frames import (
     Frame,
@@ -106,6 +106,13 @@ def test_ctor_rejects_duplicated_index():
 def test_ctor_rejects_uncovered_index():
     with pytest.raises(InvalidFrameError, match="belongs to no block"):
         Frame({"0": Z6, "1": Z9}, [["0"]], {})
+
+
+def test_ctor_rejects_empty_block():
+    with pytest.raises(InvalidFrameError, match="empty block"):
+        Frame({}, [[]], {})
+    with pytest.raises(InvalidFrameError, match="empty block"):
+        Frame({"0": Z6}, [["0"], []], {})
 
 
 def test_ctor_rejects_missing_pair():
@@ -328,3 +335,72 @@ def test_checks_pass_on_small_random_corpus():
         frame = build_cyclic_frame(orders, kappa)
         assert check_frame_full(frame).ok
         assert check_frame_reduced(frame).ok
+
+
+def _z12_cube() -> Frame:
+    """Z12^3 with kappa 6, 4, 6: the image equations fail and H_xz leaves M0."""
+    z12 = make_cyclic(12)
+    kappa = {("0", "1"): 6, ("0", "2"): 4, ("1", "2"): 6}
+    isos = {(x, y): cyclic_iso_record(x, y, 12, 12, k) for (x, y), k in kappa.items()}
+    return Frame({"0": z12, "1": z12, "2": z12}, [["0", "1", "2"]], isos)
+
+
+def test_violation_lines_are_pinned():
+    kappa_frame = corrupt_kappa(random.Random(3))
+    assert check_frame_reduced(kappa_frame).lines() == [
+        "frame check (reduced): FAIL",
+        "violation (iii) at (0,1,2): image of H_xy*H_xz is {0,6,12}, "
+        "expected {0,2,4,6,8,10,12,14,16}",
+    ]
+    assert check_frame_full(kappa_frame).lines() == [
+        "frame check (full): FAIL",
+        "violation (iii) at (0,1,2): image of H_xy*H_xz is {0,6,12}, "
+        "expected {0,2,4,6,8,10,12,14,16}",
+        "violation (iii) at (0,2,1): image of H_xy*H_xz is {0,6,12,18}, "
+        "expected {0,2,4,6,8,10,12,14,16,18,20,22}",
+        "violation (iii) at (1,0,2): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
+        "violation (iv) at (1,0,2): H_xz = {0,2,4,6,8,10,12,14,16} is not inside M0 = {0,6,12}",
+        "violation (iii) at (2,0,1): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
+        "violation (iv) at (2,0,1): H_xz = {0,2,4,6,8,10,12,14,16,18,20,22} "
+        "is not inside M0 = {0,6,12,18}",
+    ]
+
+    base = build_cyclic_frame([4, 8, 12], {(i, j): 4 for i in range(3) for j in range(i + 1, 3)})
+    map_frame = corrupt_map(base, ("0", "1"), 3)
+    assert check_frame_reduced(map_frame).lines() == [
+        "frame check (reduced): FAIL",
+        "violation (iv) at (0,1,2): direct image of {3} is {3,7,11}, induced route gives {1,5,9}",
+        "violation (iv) at (0,1,2): direct image of {1} is {1,5,9}, induced route gives {3,7,11}",
+    ]
+    assert check_frame_full(map_frame).lines() == [
+        "frame check (full): FAIL",
+        "violation (iv) at (0,1,2): direct image of {3} is {3,7,11}, induced route gives {1,5,9}",
+        "violation (iv) at (0,1,2): direct image of {1} is {1,5,9}, induced route gives {3,7,11}",
+        "violation (iv) at (0,2,1): direct image of {1} is {3,7}, induced route gives {1,5}",
+        "violation (iv) at (0,2,1): direct image of {3} is {1,5}, induced route gives {3,7}",
+        "violation (iv) at (1,0,2): direct image of {3,7} is {3,7,11}, induced route gives {1,5,9}",
+        "violation (iv) at (1,0,2): direct image of {1,5} is {1,5,9}, induced route gives {3,7,11}",
+        "violation (iv) at (1,2,0): direct image of {1,5} is {3}, induced route gives {1}",
+        "violation (iv) at (1,2,0): direct image of {3,7} is {1}, induced route gives {3}",
+        "violation (iv) at (2,0,1): direct image of {1,5,9} is {1,5}, induced route gives {3,7}",
+        "violation (iv) at (2,0,1): direct image of {3,7,11} is {3,7}, induced route gives {1,5}",
+        "violation (iv) at (2,1,0): direct image of {1,5,9} is {1}, induced route gives {3}",
+        "violation (iv) at (2,1,0): direct image of {3,7,11} is {3}, induced route gives {1}",
+    ]
+
+    cube = _z12_cube()
+    assert check_frame_reduced(cube).lines() == [
+        "frame check (reduced): FAIL",
+        "violation (iii) at (0,1,2): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
+        "violation (iii) at (0,1,2): image of K_xy*H_yz is {0,6}, expected {0,2,4,6,8,10}",
+        "violation (iv) at (0,1,2): H_xz = {0,4,8} is not inside M0 = {0,6}",
+    ]
+    assert check_frame_full(cube).lines() == [
+        "frame check (full): FAIL",
+        "violation (iii) at (0,1,2): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
+        "violation (iv) at (0,1,2): H_xz = {0,4,8} is not inside M0 = {0,6}",
+        "violation (iii) at (1,0,2): image of H_xy*H_xz is {0,6}, expected {0,2,4,6,8,10}",
+        "violation (iii) at (1,2,0): image of H_xy*H_xz is {0,6}, expected {0,2,4,6,8,10}",
+        "violation (iii) at (2,1,0): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
+        "violation (iv) at (2,1,0): H_xz = {0,4,8} is not inside M0 = {0,6}",
+    ]
