@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .algebra import AtomIndex, GroupRelationAlgebra
 from .builders import build_cyclic_frame, build_power_frame
 from .errors import FrameBuildError, FrameFormatError, NotRelatedError
-from .fileformat import emit_frame, parse_frame
+from .fileformat import _int, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
 from .groups import elements, mask_of, validate_table
 from .relations import rel_compose, rel_converse
@@ -28,15 +28,18 @@ def _fmt_mask(mask: int) -> str:
     return "{" + ",".join(map(str, elements(mask))) + "}"
 
 
-def _load_frame(path: str) -> Frame:
+def _read_text(path: str) -> str:
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # number lines as the parser does; the text before the bad byte decodes
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
         raise FrameFormatError(line, f"not UTF-8 text (byte {exc.start})") from None
-    return parse_frame(text)
+
+
+def _load_frame(path: str) -> Frame:
+    return parse_frame(_read_text(path))
 
 
 def _load_algebra(path: str) -> GroupRelationAlgebra:
@@ -155,24 +158,40 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_matrix(path: str) -> list[list[int]]:
+def _parse_failure(source: str, message: str) -> NoReturn:
+    print(f"parse error: {source}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_matrix(path: str, what: str) -> list[list[int]]:
     """Integer rows of a whitespace-separated file; '#' starts a comment."""
-    rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append([int(t) for t in body.split()])
-    return rows
+    try:
+        rows = []
+        for line, raw in enumerate(_read_text(path).splitlines(), 1):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                rows.append([_int(t, line, what) for t in body.split()])
+        return rows
+    except FrameFormatError as exc:
+        _parse_failure(path, str(exc))
+
+
+def _int_list(arg: str, source: str, what: str) -> list[int]:
+    """The integers of a comma-separated argument."""
+    try:
+        return [_int(t, 0, what) for t in arg.split(",") if t]
+    except FrameFormatError as exc:
+        _parse_failure(source, exc.reason)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         if args.family == "cyclic":
-            orders = [int(t) for t in args.spec.split(",") if t]
-            frame = build_cyclic_frame(orders, _read_matrix(args.extra))
+            orders = _int_list(args.spec, "orders", "group order")
+            frame = build_cyclic_frame(orders, _read_matrix(args.extra, "kappa entry"))
         else:
-            m = validate_table(_read_matrix(args.spec), "M")
-            n_mask = mask_of(int(t) for t in args.extra.split(",") if t)
+            m = validate_table(_read_matrix(args.spec, "table entry"), "M")
+            n_mask = mask_of(_int_list(args.extra, "normal subgroup", "element"))
             ids = [str(i) for i in range(args.count)]
             if args.blocks:
                 blocks = [part.split(",") for part in args.blocks.split(";")]

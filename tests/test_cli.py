@@ -238,6 +238,52 @@ def test_gen_cyclic_refuses_bad_kappa(capsys, tmp_path):
     assert err == "condition (i): 4 does not divide 6\n"
 
 
+def test_gen_kappa_token_is_a_parse_error(capsys, tmp_path):
+    kappa = tmp_path / "kappa.txt"
+    kappa.write_text("6 3\n# x here is a comment\n3 x\n")
+    code, out, err = run_cli(capsys, "gen", "cyclic", "6,9", str(kappa))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {kappa}: line 3: kappa entry must be an integer, got 'x'\n"
+
+
+def test_gen_argument_token_is_a_parse_error(capsys, tmp_path):
+    kappa = tmp_path / "kappa.txt"
+    kappa.write_text("6 3\n3 9\n")
+    code, out, err = run_cli(capsys, "gen", "cyclic", "6,x", str(kappa))
+    assert (code, out) == (2, "")
+    assert err == "parse error: orders: group order must be an integer, got 'x'\n"
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0,y", "2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: normal subgroup: element must be an integer, got 'y'\n"
+    table.write_text("0 1\n1 z\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "2")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {table}: line 2: table entry must be an integer, got 'z'\n"
+
+
+def test_gen_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    kappa = tmp_path / "kappa.txt"
+    kappa.write_bytes(b"6 3\n3 9 # caf\xe9\n")
+    code, out, err = run_cli(capsys, "gen", "cyclic", "6,9", str(kappa))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {kappa}: line 2: not UTF-8 text (byte 13)\n"
+    table = tmp_path / "z2.txt"
+    table.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "2")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {table}: line 1: not UTF-8 text (byte 0)\n"
+
+
+def test_gen_refused_table_exits_1(capsys, tmp_path):
+    table = tmp_path / "loop5.txt"
+    table.write_text("0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "2")
+    assert (code, out) == (1, "")
+    assert err == "not associative at (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4\n"
+
+
 def test_gen_power_round_trip(capsys, tmp_path):
     table = tmp_path / "z2.txt"
     table.write_text("0 1\n1 0\n")

@@ -1,6 +1,7 @@
 """Tests for the finite group layer: tables, cosets, quotients, iso checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from groupra.errors import (
 )
 from groupra.groups import (
     CosetSystem,
+    FiniteGroup,
     check_quotient_iso,
     complex_inverse,
     complex_product,
@@ -272,8 +274,8 @@ def test_quotient_group_s3_by_rotations():
     assert q.op == ((0, 1), (1, 0))
 
 
-def perm_group(label, *gens):
-    """The group generated by permutation tuples, identity first."""
+def perm_table(*gens):
+    """Cayley table of the group generated by permutation tuples, identity first."""
     elems = [tuple(range(len(gens[0])))]
     index = {elems[0]: 0}
     for p in elems:
@@ -282,8 +284,12 @@ def perm_group(label, *gens):
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
-    table = [[index[tuple(p[i] for i in q)] for q in elems] for p in elems]
-    return validate_table(table, label)
+    return [[index[tuple(p[i] for i in q)] for q in elems] for p in elems]
+
+
+def perm_group(label, *gens):
+    """The group generated by permutation tuples, identity first."""
+    return validate_table(perm_table(*gens), label)
 
 
 def closure(g, a, b):
@@ -358,3 +364,152 @@ def test_check_quotient_iso_size_mismatch():
     z6, z9 = make_cyclic(6), make_cyclic(9)
     with pytest.raises(IncompatibleQuotientsError, match="3 vs 9"):
         check_quotient_iso(z6, mask_of([0, 3]), z9, 1, (0, 1, 2))
+
+
+# Generators of permutation groups for the table-validation tests.
+PERM_GENERATORS = {
+    "S3": [(1, 0, 2), (1, 2, 0)],
+    "D4": [(1, 2, 3, 0), (0, 3, 2, 1)],
+    "Q8": [(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)],
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+    "D60": [tuple((i + 1) % 60 for i in range(60)), tuple(-i % 60 for i in range(60))],
+}
+
+
+def first_assoc_fault(t):
+    """First (i, j, k) in lexicographic order with (i*j)*k != i*(j*k), by an O(n^3) scan."""
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    return i, j, k
+    return None
+
+
+def reference_validate(table):
+    """What validate_table gives, found by the plain O(n^3) method.
+
+    The FiniteGroup, or the text of the GroupTableError, for a square table
+    with entries in range.
+    """
+    n = len(table)
+    ident = [e for e in range(n) if all(table[e][i] == i == table[i][e] for i in range(n))]
+    if not ident:
+        return "no two-sided identity element"
+    p = list(range(n))
+    p[0], p[ident[0]] = ident[0], 0
+    t = [[p[table[p[i]][p[j]]] for j in range(n)] for i in range(n)]
+    fault = first_assoc_fault(t)
+    if fault is not None:
+        i, j, k = fault
+        return (
+            f"not associative at ({i},{j},{k}): ({i}*{j})*{k} = {t[t[i][j]][k]} "
+            f"but {i}*({j}*{k}) = {t[i][t[j][k]]}"
+        )
+    inverse = []
+    for i in range(n):
+        found = [j for j in range(n) if t[i][j] == 0 == t[j][i]]
+        if not found:
+            return f"element {i} has no two-sided inverse"
+        inverse.append(found[0])
+    return FiniteGroup(n, tuple(map(tuple, t)), tuple(inverse))
+
+
+def validate_outcome(table):
+    try:
+        return validate_table(table)
+    except GroupTableError as exc:
+        return str(exc)
+
+
+def random_loop(rng, n):
+    """A random Latin square with identity 0, filled row by row (restarting at dead ends)."""
+    while True:
+        t = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+        try:
+            for i in range(1, n):
+                for j in range(1, n):
+                    used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+                    t[i][j] = rng.choice([v for v in range(n) if v not in used])
+        except IndexError:
+            continue
+        return t
+
+
+def relabel(table, p):
+    """The same operation with element a renamed p[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[p[a]][p[b]] = p[table[a][b]]
+    return out
+
+
+def test_validate_table_agrees_with_full_scan_on_random_loops():
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(3, 8):
+        for _ in range(60):
+            table = random_loop(rng, n)
+            expected = reference_validate(table)
+            verdicts.add(isinstance(expected, FiniteGroup))
+            assert validate_outcome(table) == expected
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", sorted(PERM_GENERATORS))
+def test_validate_table_with_identity_elsewhere(label):
+    table = perm_table(*PERM_GENERATORS[label])
+    rng = random.Random(label)
+    p = list(range(len(table)))
+    while p[0] == 0:
+        rng.shuffle(p)
+    moved = relabel(table, p)
+    group = validate_table(moved, label)
+    assert group == reference_validate(moved)
+    assert group.label == label
+
+
+@pytest.mark.parametrize("label", ["S3", "D4"])
+def test_single_entry_corruptions_name_the_first_fault(label):
+    table = perm_table(*PERM_GENERATORS[label])
+    n = len(table)
+    for i, j, v in itertools.product(range(n), repeat=3):
+        if v != table[i][j]:
+            bad = [row[:] for row in table]
+            bad[i][j] = v
+            expected = reference_validate(bad)
+            assert isinstance(expected, str)
+            assert validate_outcome(bad) == expected
+
+
+ELEMENTARY_8 = perm_table((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [perm_table(*gens) for gens in PERM_GENERATORS.values()]
+    + [KLEIN, make_cyclic(60).op, ELEMENTARY_8],
+    ids=[*PERM_GENERATORS, "V4", "Z60", "Z2^3"],
+)
+def test_validate_table_checks_at_most_log2_middles(monkeypatch, table):
+    import groupra.groups
+
+    real = groupra.groups._assoc_fault
+    checked = []
+
+    def counting(rows, middles):
+        checked.append(list(middles))
+        return real(rows, middles)
+
+    monkeypatch.setattr(groupra.groups, "_assoc_fault", counting)
+    n = len(table)
+    p = list(range(n))
+    p[0], p[-1] = p[-1], p[0]
+    for t in (table, relabel(table, p)):
+        checked.clear()
+        validate_table(t)
+        assert len(checked) == 1
+        assert len(checked[0]) <= n.bit_length() - 1

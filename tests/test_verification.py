@@ -2,6 +2,7 @@
 
 import random
 
+from groupra.algebra import GroupRelationAlgebra
 from groupra.builders import build_cyclic_frame
 from groupra.frames import check_frame_full
 from groupra.verification import (
@@ -10,6 +11,7 @@ from groupra.verification import (
     check_boolean_laws,
     check_identity_laws,
     check_image_equations,
+    check_oracle_composition,
     verify_algebra,
 )
 
@@ -47,6 +49,26 @@ def test_law_sweeps_are_seeded(running_algebra):
     second = check_boolean_laws(running_algebra, count=20, seed=3)
     assert first == second == []
     assert check_identity_laws(running_algebra, count=10, seed=5) == []
+
+
+def test_composition_oracle_names_a_wrong_engine_answer(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    atoms = alg.atoms()
+    assert check_oracle_composition(alg) == []
+    real = alg.compose_atoms
+    related = next((a, b) for a in atoms for b in atoms if a.y == b.x and a.x != b.y)
+    unrelated = next((a, b) for a in atoms for b in atoms if a.y != b.x)
+    for a, b in (related, unrelated):
+        right = real(a, b).atoms
+        extra = next(t for t in atoms if t not in right)
+
+        def wrong(p, q, pair=(a, b), extra=extra):
+            got = real(p, q)
+            return alg.element(got.atoms | {extra}) if (p, q) == pair else got
+
+        monkeypatch.setattr(alg, "compose_atoms", wrong)
+        expected = f"{a.label()};{b.label()} disagrees with the oracle"
+        assert check_oracle_composition(alg) == [expected]
 
 
 def test_image_equations_hold_on_random_frames():
