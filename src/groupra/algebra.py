@@ -20,7 +20,6 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
 from .frames import Frame, check_frame_reduced, induced_iso
 from .groups import (
-    complex_inverse,
     complex_product,
     elements,
     is_subset,
@@ -192,9 +191,9 @@ class GroupRelationAlgebra:
 
     def converse_atom(self, a: AtomIndex) -> AtomIndex:
         self._require_atom(a)
-        record = self.frame.resolve_iso(a.x, a.y)
-        inv = complex_inverse(self.frame.groups[a.x], record.h.cosets[a.alpha])
-        return AtomIndex(a.y, a.x, record.h.index_of(inv))
+        h = self.frame.resolve_iso(a.x, a.y).h
+        # H is normal, so the inverse of the coset rH is the coset of r^-1
+        return AtomIndex(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
         """a;b, empty unless a.y == b.x; read off induced_iso(frame, x, y, z)."""
@@ -227,8 +226,8 @@ class GroupRelationAlgebra:
             inside = frozenset(AtomIndex(x, z, g) for g, hc in enumerate(hxz) if is_subset(hc, mc))
             for e in iter_bits(pc):
                 atoms_at[e] = inside
-        k_rows = [frame.groups[y].op[next(iter_bits(c))] for c in frame.resolve_iso(x, y).k.cosets]
-        h_reps = [next(iter_bits(c)) for c in frame.resolve_iso(y, z).h.cosets]
+        k_rows = [frame.groups[y].op[r] for r in frame.resolve_iso(x, y).k.reps]
+        h_reps = frame.resolve_iso(y, z).h.reps
         return lambda alpha, beta: atoms_at[k_rows[alpha][h_reps[beta]]]
 
     def fast_compose_subidentity(self, a: AtomIndex, b: AtomIndex) -> FrameElement:

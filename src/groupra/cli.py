@@ -191,7 +191,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             frame = build_cyclic_frame(orders, _read_matrix(args.extra, "kappa entry"))
         else:
             m = validate_table(_read_matrix(args.spec, "table entry"), "M")
-            n_mask = mask_of(_int_list(args.extra, "normal subgroup", "element"))
+            n_elems = _int_list(args.extra, "normal subgroup", "element")
+            negative = next((e for e in n_elems if e < 0), None)
+            if negative is not None:
+                _parse_failure("normal subgroup", f"element must be non-negative, got {negative}")
+            n_mask = mask_of(n_elems)
             ids = [str(i) for i in range(args.count)]
             if args.blocks:
                 blocks = [part.split(",") for part in args.blocks.split(";")]

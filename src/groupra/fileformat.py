@@ -14,10 +14,13 @@ ignored:
                               element of its image K-coset)
     end
 
-The parser checks syntax, ids, blocks, element ranges and table groups,
+Which layer checks what: the reader enumerates H's and K's cosets to read
+a record.  It checks syntax, ids, blocks, element ranges and table groups,
 and maps representatives onto cosets, which needs H and K normal and the
-map a bijection fixing coset 0.  Frame checks the rest of each record's
-meaning once; a map it rejects is reported at that iso's ``map`` line.
+map a bijection fixing coset 0 (groups.map_defect, the map-form checks that
+check_quotient_iso runs too).  Frame then enumerates each subgroup once
+more to prove the record, and reads the homomorphism off the paired coset
+lists; a map it rejects is reported at that iso's ``map`` line.
 
 Emission is normalized: declaration order, canonical representatives,
 single spaces.  Emitting a parsed emission reproduces it byte for byte.
@@ -43,6 +46,7 @@ from .groups import (
     enumerate_cosets,
     is_cyclic_table,
     make_cyclic,
+    map_defect,
     mask_of,
     validate_table,
 )
@@ -242,13 +246,9 @@ def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord
             raise FrameFormatError(d.map_line, f"entry {gamma}: {k_rep} outside group {d.y!r}")
         mapping.append(k_sys.coset_of(k_rep))
     # image order is a CosetSystem only for a bijection that fixes coset 0
-    if len(set(mapping)) != len(mapping):
-        raise FrameFormatError(d.map_line, "map is not a quotient isomorphism: not injective")
-    if mapping[0] != 0:
-        raise FrameFormatError(
-            d.map_line,
-            f"map is not a quotient isomorphism: identity coset maps to {mapping[0]}, not 0",
-        )
+    fault = map_defect(mapping, k_sys.count)
+    if fault is not None:
+        raise FrameFormatError(d.map_line, f"map is not a quotient isomorphism: {fault}")
     image_order = CosetSystem(k_sys.subgroup, tuple(k_sys.cosets[i] for i in mapping))
     return IsoRecord(d.x, d.y, h_sys, image_order)
 
@@ -270,10 +270,7 @@ def emit_frame(frame: Frame) -> str:
         lines.append(f"iso {x} {y}")
         lines.append("H " + " ".join(map(str, elements(record.h.subgroup))))
         lines.append("K " + " ".join(map(str, elements(record.k.subgroup))))
-        entries = [
-            f"{elements(hc)[0]}:{elements(kc)[0]}"
-            for hc, kc in zip(record.h.cosets, record.k.cosets)
-        ]
+        entries = [f"{h}:{k}" for h, k in zip(record.h.reps, record.k.reps)]
         lines.append("map " + " ".join(entries))
         lines.append("end")
     return "\n".join(lines) + "\n"

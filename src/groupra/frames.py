@@ -31,10 +31,10 @@ from .groups import (
     CosetSystem,
     FiniteGroup,
     Mask,
-    check_quotient_iso,
     complex_product,
     elements,
     enumerate_cosets,
+    homomorphism_defect,
     is_subset,
     iter_bits,
 )
@@ -86,13 +86,16 @@ class Frame:
     Construction is the one check of what frame data mean, for builders,
     callers and parse_frame alike: blocks partition the declared indices,
     exactly one record per in-block pair x < y, and each stored record is a
-    genuine quotient isomorphism (normal subgroups, canonical H enumeration,
-    matching quotient sizes, homomorphic pairing); the InvalidFrameError
-    for a faulty record names it in ``pair``.  Whether the records fit
-    together as a frame is a separate question, answered by
-    check_frame_full / check_frame_reduced.  ``groups`` and ``isos`` are
-    read-only mappings, so the verdict a check caches on the frame (and the
-    composition rules an algebra caches) stay true of it.
+    genuine quotient isomorphism.  For a record, one enumerate_cosets per
+    subgroup proves H and K normal and gives the canonical lists that H's
+    list must equal and K's must reorder; the homomorphism is then read
+    straight off the paired lists by homomorphism_defect, with no quotient
+    group built.  The InvalidFrameError for a faulty record names it in
+    ``pair``, and gives ``witness`` when the pairing is not homomorphic.
+    Whether the records fit together as a frame is a separate question,
+    answered by check_frame_full / check_frame_reduced.  ``groups`` and
+    ``isos`` are read-only mappings, so the verdict a check caches on the
+    frame (and the composition rules an algebra caches) stay true of it.
     """
 
     def __init__(
@@ -164,16 +167,12 @@ class Frame:
             raise InvalidFrameError(
                 f"quotient sizes for ({x},{y}) differ: {record.h.count} vs {record.k.count}"
             )
-        try:
-            mapping = [canonical_k.index_of(kc) for kc in record.k.cosets]
-        except ValueError:
-            raise InvalidFrameError(f"K-cosets for ({x},{y}) are not cosets of K") from None
-        verdict = check_quotient_iso(gx, record.h.subgroup, gy, record.k.subgroup, mapping)
-        if not verdict.ok:
-            exc = InvalidFrameError(
-                f"pair ({x},{y}) is not a quotient isomorphism: {verdict.witness}"
-            )
-            exc.witness = verdict.witness
+        if set(record.k.cosets) != set(canonical_k.cosets):
+            raise InvalidFrameError(f"K-cosets for ({x},{y}) are not cosets of K")
+        witness = homomorphism_defect(gx, record.h, gy, record.k)
+        if witness is not None:
+            exc = InvalidFrameError(f"pair ({x},{y}) is not a quotient isomorphism: {witness}")
+            exc.witness = witness
             raise exc
 
     # -- queries ---------------------------------------------------------
@@ -264,7 +263,6 @@ def _product_cosets(a: CosetSystem, b: CosetSystem) -> CosetSystem:
     The coset uA*B is the union of vB over v in uA, so it is the union of the
     B-cosets that meet uA; no subgroup or normality proof is needed.
     """
-    coset_at = {e: bc for bc in b.cosets for e in iter_bits(bc)}
     out: list[Mask] = []
     covered = 0
     for ac in a.cosets:
@@ -272,23 +270,22 @@ def _product_cosets(a: CosetSystem, b: CosetSystem) -> CosetSystem:
             continue
         coset = 0
         for e in iter_bits(ac):
-            coset |= coset_at[e]
+            coset |= b.cosets[b.coset_of(e)]
         out.append(coset)
         covered |= coset
     out.sort(key=lambda c: c & -c)
     return _system(out)
 
 
-def _coarse_images(record: IsoRecord, coarse: Sequence[Mask]) -> list[Mask]:
+def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
     """phi of each coset of a coarse subgroup that contains H.
 
     Each H-coset lies in the coarse coset that holds its least element, so
     one pass over the record's paired coset lists collects every image.
     """
-    where = {e: i for i, c in enumerate(coarse) for e in iter_bits(c)}
-    out = [0] * len(coarse)
-    for hc, kc in zip(record.h.cosets, record.k.cosets):
-        out[where[(hc & -hc).bit_length() - 1]] |= kc
+    out = [0] * coarse.count
+    for rep, kc in zip(record.h.reps, record.k.cosets):
+        out[coarse.coset_of(rep)] |= kc
     return out
 
 
@@ -297,8 +294,8 @@ def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
     ryz = frame.resolve_iso(y, z)
     # P0 contains K_xy and H_yz, so each of its cosets has both images
     p = _product_cosets(ryx.h, ryz.h)
-    m = _system(_coarse_images(ryx, p.cosets))
-    n = _system(_coarse_images(ryz, p.cosets))
+    m = _system(_coarse_images(ryx, p))
+    n = _system(_coarse_images(ryz, p))
     return InducedIso(x, y, z, m, p, n)
 
 
@@ -374,7 +371,7 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
     if not is_subset(rxz.h.subgroup, m0):
         found.append(("iv", f"H_xz = {_fmt(rxz.h.subgroup)} is not inside M0 = {_fmt(m0)}"))
     else:
-        direct = _coarse_images(rxz, ind.m.cosets)
+        direct = _coarse_images(rxz, ind.m)
         for mc, img, nc in zip(ind.m.cosets, direct, ind.n.cosets):
             if img != nc:
                 shown = f"{_fmt(mc)} is {_fmt(img)}, induced route gives {_fmt(nc)}"

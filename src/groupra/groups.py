@@ -8,6 +8,7 @@ bitmasks: bit e is set iff element e belongs to the subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -35,6 +36,8 @@ __all__ = [
     "left_translate",
     "right_translate",
     "quotient_group",
+    "map_defect",
+    "homomorphism_defect",
     "IsoCheck",
     "check_quotient_iso",
 ]
@@ -260,6 +263,11 @@ class CosetSystem:
     cosets[0] is always the subgroup itself; the remaining cosets may be in
     any order (canonical systems sort by least element, associated systems
     follow an isomorphism's image order).
+
+    ``reps`` holds the least element of each coset, and ``coset_of`` finds
+    the coset of an element in O(1).  Both are built once per system, on
+    first use, and are the one place every layer reads element-to-coset
+    lookups and representatives from.
     """
 
     subgroup: Mask
@@ -278,26 +286,33 @@ class CosetSystem:
             if seen & c:
                 raise ValueError("cosets must be pairwise disjoint")
             seen |= c
-        index = {c: i for i, c in enumerate(self.cosets)}
-        object.__setattr__(self, "_index", index)
 
     @property
     def count(self) -> int:
         return len(self.cosets)
 
+    @cached_property
+    def reps(self) -> tuple[int, ...]:
+        """The least element of each coset, in enumeration order."""
+        return tuple((c & -c).bit_length() - 1 for c in self.cosets)
+
+    @cached_property
+    def _where(self) -> dict[int, int]:
+        return {e: i for i, c in enumerate(self.cosets) for e in iter_bits(c)}
+
     def index_of(self, coset: Mask) -> int:
         """Position of a coset mask in this enumeration."""
         try:
-            return self._index[coset]  # type: ignore[attr-defined]
-        except KeyError:
+            return self.cosets.index(coset)
+        except ValueError:
             raise ValueError(f"{elements(coset)} is not a coset of this system") from None
 
     def coset_of(self, e: int) -> int:
         """Index of the coset containing element e."""
-        for i, c in enumerate(self.cosets):
-            if c >> e & 1:
-                return i
-        raise ValueError(f"element {e} lies in no coset of this system")
+        try:
+            return self._where[e]
+        except KeyError:
+            raise ValueError(f"element {e} lies in no coset of this system") from None
 
 
 def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
@@ -363,15 +378,47 @@ def quotient_group(g: FiniteGroup, h: Mask) -> FiniteGroup:
     Products and inverses are read off the least coset representatives.
     Coset index 0 (the subgroup) is the identity, so no renumbering happens,
     and the axioms need no re-proof: g is a group and enumerate_cosets has
-    just proven h normal in it.
+    just proven h normal in it.  A convenience for callers that want the
+    quotient as a group; no check of a frame or a quotient map builds one.
     """
     system = enumerate_cosets(g, h)
-    where = {e: i for i, coset in enumerate(system.cosets) for e in iter_bits(coset)}
-    reps = [(c & -c).bit_length() - 1 for c in system.cosets]
-    op = tuple(tuple(where[g.op[ra][rb]] for rb in reps) for ra in reps)
-    inverse = tuple(where[g.inverse[r]] for r in reps)
+    op = tuple(tuple(system.coset_of(g.op[ra][rb]) for rb in system.reps) for ra in system.reps)
+    inverse = tuple(system.coset_of(g.inverse[r]) for r in system.reps)
     subgroup_label = "{" + ",".join(map(str, elements(h))) + "}"
-    return FiniteGroup(len(reps), op, inverse, f"{g.label}/{subgroup_label}")
+    return FiniteGroup(system.count, op, inverse, f"{g.label}/{subgroup_label}")
+
+
+def map_defect(mapping: Sequence[int], n: int) -> Optional[str]:
+    """None if ``mapping`` is a bijection of 0..n-1 that fixes 0, else why not."""
+    if len(mapping) != n:
+        return f"map has {len(mapping)} entries, expected {n}"
+    if any(not 0 <= v < n for v in mapping):
+        return "map entry out of range"
+    if len(set(mapping)) != n:
+        return "not injective"
+    if mapping[0] != 0:
+        return f"identity coset maps to {mapping[0]}, not 0"
+    return None
+
+
+def homomorphism_defect(
+    gx: FiniteGroup, h: CosetSystem, gy: FiniteGroup, k: CosetSystem
+) -> Optional[str]:
+    """None if h.cosets[i] -> k.cosets[i] respects products, else a witness.
+
+    h and k are equally long coset lists of normal subgroups of gx and gy.
+    Cosets multiply through any representatives, so the least ones do: the
+    map respects products iff for all positions a, b the coset of
+    h.reps[a]*h.reps[b] sits at the same position as the coset of
+    k.reps[a]*k.reps[b].  The witness names the first failing (a, b).
+    """
+    pairs = list(zip(h.reps, k.reps))
+    for a, (ra, sa) in enumerate(pairs):
+        row_x, row_y = gx.op[ra], gy.op[sa]
+        for b, (rb, sb) in enumerate(pairs):
+            if h.coset_of(row_x[rb]) != k.coset_of(row_y[sb]):
+                return f"not homomorphic at cosets ({a},{b})"
+    return None
 
 
 @dataclass(frozen=True)
@@ -394,25 +441,16 @@ def check_quotient_iso(
     The map must send coset index 0 to 0 (identity to identity), be a
     bijection, and respect the quotient operations.  A size mismatch between
     the quotients raises IncompatibleQuotientsError; all other failures come
-    back as IsoCheck(False, witness).
+    back as IsoCheck(False, witness).  This is the index-map form for
+    callers outside a frame: Frame keeps its records as paired coset lists
+    and runs homomorphism_defect on them directly.
     """
-    qx = quotient_group(gx, h)
-    qy = quotient_group(gy, k)
-    if qx.order != qy.order:
-        raise IncompatibleQuotientsError(
-            f"quotient orders differ: {qx.order} vs {qy.order}"
-        )
-    n = qx.order
-    if len(mapping) != n:
-        return IsoCheck(False, f"map has {len(mapping)} entries, expected {n}")
-    if any(not 0 <= v < n for v in mapping):
-        return IsoCheck(False, "map entry out of range")
-    if len(set(mapping)) != n:
-        return IsoCheck(False, "not injective")
-    if mapping[0] != 0:
-        return IsoCheck(False, f"identity coset maps to {mapping[0]}, not 0")
-    for a in range(n):
-        for b in range(n):
-            if mapping[qx.mul(a, b)] != qy.mul(mapping[a], mapping[b]):
-                return IsoCheck(False, f"not homomorphic at cosets ({a},{b})")
-    return IsoCheck(True)
+    hs = enumerate_cosets(gx, h)
+    ks = enumerate_cosets(gy, k)
+    if hs.count != ks.count:
+        raise IncompatibleQuotientsError(f"quotient orders differ: {hs.count} vs {ks.count}")
+    witness = map_defect(mapping, hs.count)
+    if witness is None:
+        image = CosetSystem(ks.subgroup, tuple(ks.cosets[i] for i in mapping))
+        witness = homomorphism_defect(gx, hs, gy, image)
+    return IsoCheck(witness is None, witness)

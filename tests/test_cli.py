@@ -263,6 +263,14 @@ def test_gen_argument_token_is_a_parse_error(capsys, tmp_path):
     assert err == f"parse error: {table}: line 2: table entry must be an integer, got 'z'\n"
 
 
+def test_gen_negative_subgroup_element_is_a_parse_error(capsys, tmp_path):
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0,-1", "2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: normal subgroup: element must be non-negative, got -1\n"
+
+
 def test_gen_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     kappa = tmp_path / "kappa.txt"
     kappa.write_bytes(b"6 3\n3 9 # caf\xe9\n")

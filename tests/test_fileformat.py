@@ -1,10 +1,15 @@
 """Tests for frame file parsing, emission, and the line-numbered errors."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
 from groupra.errors import FrameFormatError
 from groupra.fileformat import emit_frame, parse_frame
+from groupra.frames import Frame
 from groupra.groups import make_cyclic, validate_table
 
 KLEIN = [
@@ -513,7 +518,9 @@ def test_parse_checks_each_record_once(monkeypatch):
         ]
     )
     text = emit_frame(frame)
-    calls = {"check_quotient_iso": 0, "validate_table": 0}
+    calls = dict.fromkeys(
+        ["homomorphism_defect", "quotient_group", "enumerate_cosets", "validate_table"], 0
+    )
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -527,7 +534,15 @@ def test_parse_checks_each_record_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert parse_frame(text) == frame
-    assert calls == {"check_quotient_iso": len(frame.isos), "validate_table": 3}
+    # the reader enumerates H and K to read a record, Frame once more to prove
+    # it, and the homomorphism is read off the paired lists: no quotient group
+    records = len(frame.isos)
+    assert calls == {
+        "homomorphism_defect": records,
+        "quotient_group": 0,
+        "enumerate_cosets": 4 * records,
+        "validate_table": 3,
+    }
 
 
 def test_error_object_carries_line_and_reason():
@@ -536,3 +551,39 @@ def test_error_object_carries_line_and_reason():
     assert info.value.line == 1
     assert info.value.reason == "unknown directive 'argle'"
     assert str(info.value) == "line 1: unknown directive 'argle'"
+
+
+SHIPPED_TEXTS = [
+    path.read_text()
+    for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+]
+FUZZ_VOCABULARY = [
+    *"group block iso H K map end cyclic table # \n x".split(" "),
+    *"0 1 2 3 4 6 8 9 -1".split(),
+    *"0:0 1:1 2:2 3:3 1:0 0:1 2:4 4:2 4:3 3:2 7:7 9:0 -1:0 0:-1 1: :1 : 1:1:1".split(),
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SHIPPED_TEXTS), st.randoms(use_true_random=False))
+def test_mutated_shipped_frames_parse_or_fail_as_format_errors(text, rng):
+    """One to three tokens replaced, deleted or inserted; half the replacements
+    hit a map entry, so that maps reach the quotient-isomorphism check."""
+    tokens = [t for t in text.replace("\n", " \n ").split(" ") if t]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["replace", "delete", "insert"])
+        entries = [i for i, t in enumerate(tokens) if ":" in t]
+        if kind == "replace" and entries and rng.random() < 0.5:
+            i = rng.choice(entries)
+        else:
+            i = rng.randrange(len(tokens) + (kind == "insert"))
+        if kind == "insert":
+            tokens.insert(i, rng.choice(FUZZ_VOCABULARY))
+        elif kind == "replace":
+            tokens[i] = rng.choice(FUZZ_VOCABULARY)
+        else:
+            del tokens[i]
+    try:
+        assert isinstance(parse_frame(" ".join(tokens)), Frame)
+    except FrameFormatError:
+        pass

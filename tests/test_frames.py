@@ -211,6 +211,18 @@ def test_ctor_rejects_fake_k_cosets():
         )
 
 
+def test_ctor_rejects_k_cosets_that_miss_some_cosets_of_k():
+    # three of the six cosets of {0,6} in Z12: as many as H6 has, but not all of K's
+    partial = CosetSystem(mask_of([0, 6]), (mask_of([0, 6]), mask_of([1, 7]), mask_of([2, 8])))
+    with pytest.raises(InvalidFrameError, match="not cosets of K") as info:
+        Frame(
+            {"0": Z6, "1": make_cyclic(12)},
+            [["0", "1"]],
+            {("0", "1"): IsoRecord("0", "1", H6, partial)},
+        )
+    assert info.value.pair == ("0", "1")
+
+
 def test_ctor_rejects_non_homomorphic_pairing():
     z4 = make_cyclic(4)
     singles = enumerate_cosets(z4, 1)

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from groupra.errors import (
     GroupTableError,
     IncompatibleQuotientsError,
+    InvalidFrameError,
     NotASubgroupError,
     NotNormalError,
 )
+from groupra.frames import Frame, IsoRecord
 from groupra.groups import (
     CosetSystem,
     FiniteGroup,
+    IsoCheck,
     check_quotient_iso,
     complex_inverse,
     complex_product,
@@ -513,3 +516,90 @@ def test_validate_table_checks_at_most_log2_middles(monkeypatch, table):
         validate_table(t)
         assert len(checked) == 1
         assert len(checked[0]) <= n.bit_length() - 1
+
+
+ISO_CORPUS_GROUPS = {
+    **{label: PERM_GENERATORS[label] for label in ("S3", "D4", "Q8", "A4")},
+    "Z6": [(1, 2, 3, 4, 5, 0)],
+}
+
+
+def quotient_iso_corpus():
+    """Every ordered pair of normal subgroups of S3, D4, Q8, A4 and Z6, with maps.
+
+    Yields (gx, h, gy, k, qx, qy, maps), with qx and qy the quotient groups.
+    When the quotients have equal order the maps are one of the wrong length,
+    a non-injective one and, with at most 6 cosets, every bijection; when
+    their orders differ, the identity map of qx alone.
+    """
+    normals = []
+    for label, gens in ISO_CORPUS_GROUPS.items():
+        g = perm_group(label, *gens)
+        subgroups = {closure(g, a, b) for a in g.elements() for b in g.elements()}
+        normals += [(g, n) for n in sorted(subgroups) if is_normal(g, n)]
+    for (gx, h), (gy, k) in itertools.product(normals, repeat=2):
+        qx, qy = quotient_group(gx, h), quotient_group(gy, k)
+        n = qx.order
+        if n != qy.order:
+            maps = [list(range(n))]
+        else:
+            maps = [list(range(n + 1))] + [[0] * n] * (n > 1)
+            if n <= 6:
+                maps += map(list, itertools.permutations(range(n)))
+        yield gx, h, gy, k, qx, qy, maps
+
+
+def reference_iso_witness(qx, qy, mapping):
+    """Why mapping is not an isomorphism qx -> qy, from their tables; None if it is."""
+    n = qx.order
+    if len(mapping) != n:
+        return f"map has {len(mapping)} entries, expected {n}"
+    if any(not 0 <= v < n for v in mapping):
+        return "map entry out of range"
+    if len(set(mapping)) != n:
+        return "not injective"
+    if mapping[0] != 0:
+        return f"identity coset maps to {mapping[0]}, not 0"
+    for a, b in itertools.product(range(n), repeat=2):
+        if mapping[qx.mul(a, b)] != qy.mul(mapping[a], mapping[b]):
+            return f"not homomorphic at cosets ({a},{b})"
+    return None
+
+
+def test_check_quotient_iso_matches_quotient_tables():
+    verdicts = 0
+    for gx, h, gy, k, qx, qy, maps in quotient_iso_corpus():
+        for mapping in maps:
+            verdicts += 1
+            if qx.order != qy.order:
+                expected = f"quotient orders differ: {qx.order} vs {qy.order}"
+                with pytest.raises(IncompatibleQuotientsError, match=expected):
+                    check_quotient_iso(gx, h, gy, k, mapping)
+                continue
+            witness = reference_iso_witness(qx, qy, mapping)
+            assert check_quotient_iso(gx, h, gy, k, mapping) == IsoCheck(witness is None, witness)
+    assert verdicts == 3718
+
+
+def test_frame_accepts_exactly_the_quotient_isos():
+    """Each bijection fixing coset 0, as an image-order record of a two-group frame."""
+    accepted = rejected = 0
+    for gx, h, gy, k, qx, qy, maps in quotient_iso_corpus():
+        if qx.order != qy.order:
+            continue
+        hs, ks = enumerate_cosets(gx, h), enumerate_cosets(gy, k)
+        for mapping in maps:
+            if len(mapping) != qx.order or len(set(mapping)) != qx.order or mapping[0] != 0:
+                continue
+            image = CosetSystem(k, tuple(ks.cosets[i] for i in mapping))
+            isos = {("x", "y"): IsoRecord("x", "y", hs, image)}
+            witness = reference_iso_witness(qx, qy, mapping)
+            if witness is None:
+                Frame({"x": gx, "y": gy}, [["x", "y"]], isos)
+                accepted += 1
+                continue
+            with pytest.raises(InvalidFrameError) as info:
+                Frame({"x": gx, "y": gy}, [["x", "y"]], isos)
+            assert (info.value.pair, info.value.witness) == (("x", "y"), witness)
+            rejected += 1
+    assert (accepted, rejected) == (129, 472)
