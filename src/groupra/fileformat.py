@@ -22,13 +22,19 @@ check_quotient_iso runs too).  Frame then enumerates each subgroup once
 more to prove the record, and reads the homomorphism off the paired coset
 lists; a map it rejects is reported at that iso's ``map`` line.
 
+Each distinct group declaration is built once per file: ``cyclic n`` once
+per n, and a table once per distinct text (its rows as tokens), converted
+to integers and validated once.  Every table id still gets its own
+FiniteGroup, labelled T<id>, over the shared rows, so each error names the
+id it is about.
+
 Emission is normalized: declaration order, canonical representatives,
 single spaces.  Emitting a parsed emission reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     FrameFormatError,
@@ -74,6 +80,17 @@ def _int(token: str, line: int, what: str) -> int:
         raise FrameFormatError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _table_entries(rows: list[tuple[int, list[str]]]) -> list[list[int]]:
+    """Table rows as integers; a FrameFormatError names the first bad entry."""
+    out = []
+    for line, tokens in rows:
+        try:
+            out.append(list(map(int, tokens)))
+        except ValueError:
+            out.append([_int(t, line, "table entry") for t in tokens])
+    return out
+
+
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for i, raw in enumerate(text.splitlines(), 1):
@@ -91,6 +108,9 @@ def parse_frame(text: str) -> Frame:
     group_lines: dict[str, int] = {}
     blocks: list[tuple[int, list[str]]] = []
     directives: list[_IsoDirective] = []
+    # one build per distinct declaration: cyclic groups by order, tables by text
+    cyclic: dict[int, FiniteGroup] = {}
+    tables: dict[tuple[tuple[str, ...], ...], FiniteGroup] = {}
 
     def take() -> tuple[int, list[str]]:
         nonlocal pos
@@ -114,20 +134,31 @@ def parse_frame(text: str) -> Frame:
             if tokens[2] == "cyclic":
                 if n <= 0:
                     raise FrameFormatError(line, f"group order must be positive, got {n}")
-                groups[gid] = make_cyclic(n)
+                if n not in cyclic:
+                    cyclic[n] = make_cyclic(n)
+                groups[gid] = cyclic[n]
             else:
-                rows = []
-                for _ in range(n):
-                    row_line, row_tokens = take()
-                    if len(row_tokens) != n:
-                        raise FrameFormatError(
-                            row_line, f"table row has {len(row_tokens)} entries, expected {n}"
-                        )
-                    rows.append([_int(t, row_line, "table entry") for t in row_tokens])
+                rows: list[tuple[int, list[str]]] = []
                 try:
-                    groups[gid] = validate_table(rows, f"T{gid}")
-                except GroupTableError as exc:
-                    raise FrameFormatError(line, f"not a group table: {exc}") from None
+                    for _ in range(n):
+                        row_line, row_tokens = take()
+                        if len(row_tokens) != n:
+                            raise FrameFormatError(
+                                row_line, f"table row has {len(row_tokens)} entries, expected {n}"
+                            )
+                        rows.append((row_line, row_tokens))
+                except FrameFormatError:
+                    _table_entries(rows)  # a bad entry above the fault is reported first
+                    raise
+                table_text = tuple(tuple(row_tokens) for _, row_tokens in rows)
+                shared = tables.get(table_text)
+                if shared is None:
+                    try:
+                        shared = validate_table(_table_entries(rows), f"T{gid}")
+                        tables[table_text] = shared
+                    except GroupTableError as exc:
+                        raise FrameFormatError(line, f"not a group table: {exc}") from None
+                groups[gid] = replace(shared, label=f"T{gid}")
             group_lines[gid] = line
         elif keyword == "block":
             if len(tokens) < 2:

@@ -535,14 +535,65 @@ def test_parse_checks_each_record_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert parse_frame(text) == frame
     # the reader enumerates H and K to read a record, Frame once more to prove
-    # it, and the homomorphism is read off the paired lists: no quotient group
+    # it, and the homomorphism is read off the paired lists: no quotient group;
+    # the three Klein tables are one text, validated once
     records = len(frame.isos)
     assert calls == {
         "homomorphism_defect": records,
         "quotient_group": 0,
         "enumerate_cosets": 4 * records,
-        "validate_table": 3,
+        "validate_table": 1,
     }
+
+
+def count_validate_table(monkeypatch) -> list:
+    import groupra.fileformat
+
+    calls = []
+    real = groupra.fileformat.validate_table
+
+    def counting(rows, label):
+        calls.append(label)
+        return real(rows, label)
+
+    monkeypatch.setattr(groupra.fileformat, "validate_table", counting)
+    return calls
+
+
+def test_tables_one_entry_apart_are_each_validated(monkeypatch):
+    klein_rows = [" ".join(map(str, row)) for row in KLEIN]
+    # the second table differs in entry (3,3): 3*3 = 1, so it is no group
+    bad_rows = [*klein_rows[:3], "3 2 1 1"]
+    with pytest.raises(FrameFormatError) as alone:
+        parse_frame(lines("group 1 table 4", *bad_rows, "block 1"))
+    calls = count_validate_table(monkeypatch)
+    text = lines("group 0 table 4", *klein_rows, "group 1 table 4", *bad_rows, "block 0 1")
+    expect_error(text, 6, alone.value.reason)
+    assert calls == ["T0", "T1"]
+
+
+def test_non_subgroup_on_the_second_of_two_identical_tables_names_its_id(monkeypatch):
+    klein_rows = [" ".join(map(str, row)) for row in KLEIN]
+    calls = count_validate_table(monkeypatch)
+    expect_error(
+        lines(
+            "group 0 table 4",
+            *klein_rows,
+            "group 1 table 4",
+            *klein_rows,
+            "group 2 cyclic 4",
+            "block 0",
+            "block 1 2",
+            "iso 1 2",
+            "H 0 1 2",
+            "K 0 2",
+            "map 0:0 2:1",
+            "end",
+        ),
+        15,
+        "[0, 1, 2] is not a subgroup of T1: product 1*2 = 3 falls outside the subset",
+    )
+    assert calls == ["T0"]
 
 
 def test_error_object_carries_line_and_reason():

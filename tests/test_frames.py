@@ -9,14 +9,24 @@ from groupra.errors import InvalidFrameError, NotRelatedError
 from groupra.frames import (
     Frame,
     IsoRecord,
+    _times_normal,
     check_frame_full,
     check_frame_reduced,
     induced_iso,
     try_image,
 )
-from groupra.groups import CosetSystem, elements, enumerate_cosets, make_cyclic, mask_of
+from groupra.groups import (
+    CosetSystem,
+    complex_product,
+    elements,
+    enumerate_cosets,
+    is_normal,
+    make_cyclic,
+    mask_of,
+)
 
 from tests.helpers import corrupt_kappa, corrupt_map
+from tests.test_groups import PERM_GENERATORS, closure, perm_group
 
 Z6 = make_cyclic(6)
 Z9 = make_cyclic(9)
@@ -416,3 +426,21 @@ def test_violation_lines_are_pinned():
         "violation (iii) at (2,1,0): image of H_xy*H_xz is {0,2,4,6,8,10}, expected {0,6}",
         "violation (iv) at (2,1,0): H_xz = {0,4,8} is not inside M0 = {0,6}",
     ]
+
+
+def test_coset_list_product_matches_the_elementwise_product():
+    generators = {
+        **{label: PERM_GENERATORS[label] for label in ("S3", "D4", "Q8", "A4")},
+        "Z12": [tuple((i + 1) % 12 for i in range(12))],
+    }
+    checked = 0
+    for label, gens in generators.items():
+        g = perm_group(label, *gens)
+        subgroups = sorted({closure(g, a, b) for a in g.elements() for b in g.elements()})
+        for b in (n for n in subgroups if is_normal(g, n)):
+            system = enumerate_cosets(g, b)
+            for a in subgroups:
+                assert _times_normal(a, system) == complex_product(g, a, b), (label, a, b)
+                checked += 1
+    # subgroups x normal subgroups: S3 6x3, D4 10x6, Q8 6x6, A4 10x3, Z12 6x6
+    assert checked == 18 + 60 + 36 + 30 + 36

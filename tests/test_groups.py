@@ -603,3 +603,103 @@ def test_frame_accepts_exactly_the_quotient_isos():
             assert (info.value.pair, info.value.witness) == (("x", "y"), witness)
             rejected += 1
     assert (accepted, rejected) == (129, 472)
+
+
+def test_finite_group_checks_the_inverse_table_length():
+    with pytest.raises(GroupTableError, match="inverse table has 1 entries, expected 2"):
+        FiniteGroup(2, ((0, 1), (1, 0)), (0,))
+    with pytest.raises(GroupTableError, match="inverse table has 3 entries, expected 2"):
+        FiniteGroup(2, ((0, 1), (1, 0)), (0, 1, 0))
+    assert FiniteGroup(2, ((0, 1), (1, 0)), (0, 1)).inv(1) == 1
+
+
+def reference_subgroup_defect(g, h):
+    """subgroup_defect's verdict and witness, by the plain scan over every pair."""
+    if h >> g.order:
+        return f"subset {elements(h)} contains indices outside the group"
+    if not h & 1:
+        return "subset does not contain the identity"
+    elems = elements(h)
+    for a in elems:
+        if not h >> g.inv(a) & 1:
+            return f"inverse of {a} is {g.inv(a)}, which is missing"
+        row = g.op[a]
+        for b in elems:
+            if not h >> row[b] & 1:
+                return f"product {a}*{b} = {row[b]} falls outside the subset"
+    return None
+
+
+def generated(g, gens):
+    """The subgroup generated by gens: every right word from the identity."""
+    seen, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = g.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return mask_of(seen)
+
+
+def normal_subgroups(g):
+    """Every normal subgroup: the joins of the normal closures of single elements."""
+    classes = {
+        frozenset(g.mul(g.mul(c, a), g.inv(c)) for c in g.elements()) for a in g.elements()
+    }
+    found = {generated(g, cls) for cls in classes}
+    while True:
+        joins = {generated(g, elements(a | b)) for a in found for b in found if a < b}
+        if joins <= found:
+            return sorted(found)
+        found |= joins
+
+
+def test_subgroup_defect_matches_the_pair_scan():
+    checked = 0
+    for label in ("S3", "D4", "Q8"):
+        g = perm_group(label, *PERM_GENERATORS[label])
+        for rest in range(1 << (g.order - 1)):
+            h = rest << 1 | 1
+            assert subgroup_defect(g, h) == reference_subgroup_defect(g, h), (label, h)
+            checked += 1
+    rng = random.Random(20261018)
+    for label in ("A4", "D60"):
+        g = perm_group(label, *PERM_GENERATORS[label])
+        for i in range(2000):
+            # a random subset, a subgroup, or a subgroup with one element toggled
+            kind = i % 3
+            if kind == 0:
+                h = rng.getrandbits(g.order) | 1
+            else:
+                h = generated(g, rng.sample(range(g.order), rng.randint(1, 2)))
+                if kind == 2:
+                    h ^= 1 << rng.randrange(1, g.order)
+            assert subgroup_defect(g, h) == reference_subgroup_defect(g, h), (label, h)
+            checked += 1
+    assert checked == 32 + 128 + 128 + 4000
+
+
+def test_enumerating_normal_cosets_never_runs_the_pair_scan(monkeypatch):
+    import groupra.groups
+
+    real = groupra.groups._closure_witness
+    scans = []
+
+    def counting(g, h):
+        scans.append(h)
+        return real(g, h)
+
+    monkeypatch.setattr(groupra.groups, "_closure_witness", counting)
+    enumerated = 0
+    for label in ("S3", "D4", "Q8", "A4", "D60"):
+        g = perm_group(label, *PERM_GENERATORS[label])
+        for n in normal_subgroups(g):
+            assert enumerate_cosets(g, n).count * n.bit_count() == g.order
+            enumerated += 1
+    assert scans == []
+    assert enumerated == 3 + 6 + 6 + 3 + 15
+    # the scan does run, to name the witness, on a subset that is no subgroup
+    assert subgroup_defect(make_cyclic(6), mask_of([0, 1, 5])) is not None
+    assert len(scans) == 1
