@@ -22,7 +22,9 @@ check_quotient_iso runs too).  Frame then enumerates each subgroup once
 more to prove the record, and reads the homomorphism off the paired coset
 lists; a map it rejects is reported at that iso's ``map`` line.
 
-Each distinct group declaration is built once per file: ``cyclic n`` once
+A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
+that line, before any table row is read or any group is built.  Each
+distinct group declaration is built once per file: ``cyclic n`` once
 per n, and a table once per distinct text (its rows as tokens), converted
 to integers and validated once.  Every table id still gets its own
 FiniteGroup, labelled T<id>, over the shared rows, so each error names the
@@ -45,6 +47,7 @@ from .errors import (
 )
 from .frames import Frame, IsoRecord
 from .groups import (
+    MAX_GROUP_ORDER,
     CosetSystem,
     FiniteGroup,
     Mask,
@@ -131,6 +134,10 @@ def parse_frame(text: str) -> Frame:
             if gid in groups:
                 raise FrameFormatError(line, f"duplicate group id {gid!r}")
             n = _int(tokens[3], line, "group order")
+            if n > MAX_GROUP_ORDER:
+                raise FrameFormatError(
+                    line, f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}"
+                )
             if tokens[2] == "cyclic":
                 if n <= 0:
                     raise FrameFormatError(line, f"group order must be positive, got {n}")

@@ -25,6 +25,7 @@ __all__ = [
     "is_subset",
     "full_mask",
     "FiniteGroup",
+    "MAX_GROUP_ORDER",
     "make_cyclic",
     "validate_table",
     "subgroup_defect",
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 Mask = int
+
+# The largest group order any table or cyclic group may have.  It bounds the
+# n*n table a declaration builds and the cost of rejecting a bad table.
+MAX_GROUP_ORDER = 1024
 
 
 def mask_of(elems: Iterable[int]) -> Mask:
@@ -113,6 +118,11 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def _generating_set(self) -> list[int]:
+        """The greedy generating set of the whole group (_generators)."""
+        return _generators(self.op, full_mask(self.order))
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 
@@ -121,6 +131,8 @@ def make_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
     if n <= 0:
         raise GroupTableError(f"cyclic group order must be positive, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise GroupTableError(f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}")
     op = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     inverse = tuple((-a) % n for a in range(n))
     return FiniteGroup(n, op, inverse, label or f"Z{n}")
@@ -132,29 +144,35 @@ def is_cyclic_table(g: FiniteGroup) -> bool:
     return all(g.op[a][b] == (a + b) % n for a in range(n) for b in range(n))
 
 
-def _generators(rows: list[list[int]]) -> list[int]:
-    """A generating set of the table, ascending, picked greedily.
+def _generators(op: Sequence[Sequence[int]], mask: Mask) -> Optional[list[int]]:
+    """A generating set of mask under op, picked greedily; None if mask is not closed.
 
-    Each generator is the least element not yet reached from the identity 0
-    by right words ((0*g1)*g2)*...*gm over the generators so far.  In a
-    group each new generator at least doubles the subgroup reached, so
-    there are at most log2(n).
+    Each generator is the least element of mask not yet reached from the
+    identity 0 by right words ((0*g1)*g2)*...*gm over the generators so far,
+    and every reached element meets every generator once.  If no product
+    leaves mask, the reached set is all of mask and is closed under op.  In
+    a group each new generator at least doubles the subgroup reached, so
+    there are at most log2(|mask|).
     """
     gens: list[int] = []
-    reached = [False] * len(rows)
-    reached[0] = True
-    for g in range(len(rows)):
-        if reached[g]:
-            continue
-        gens.append(g)
-        stack = [x for x, seen in enumerate(reached) if seen]
-        while stack:
-            row = rows[stack.pop()]
-            for s in gens:
-                y = row[s]
-                if not reached[y]:
-                    reached[y] = True
-                    stack.append(y)
+    reached = [0]
+    seen = 1
+    while seen != mask:
+        rest = mask & ~seen
+        gens.append((rest & -rest).bit_length() - 1)
+        # elements reached so far have met the earlier generators; new ones meet all
+        todo = [(x, len(gens) - 1) for x in reached]
+        while todo:
+            x, first = todo.pop()
+            row = op[x]
+            for t in gens[first:]:
+                y = row[t]
+                if not mask >> y & 1:
+                    return None
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    reached.append(y)
+                    todo.append((y, 0))
     return gens
 
 
@@ -179,18 +197,22 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
 
     The identity is renumbered to index 0 if it sits elsewhere (a single
     transposition of labels).  Raises GroupTableError naming the first
-    failing triple / missing piece.
+    failing triple / missing piece.  A table of more than MAX_GROUP_ORDER
+    rows is refused before anything is read.
 
     Associativity is proved by Light's test: the middles m with
     (i*m)*k = i*(m*k) for all i, k are closed under the product, so it is
-    enough to check the middles of a generating set -- at most log2(n) of
-    them for a group of order n, O(n^2 log n) in place of O(n^3).  The
-    full scan over every middle runs only when the proof fails, to name
-    the lexicographically first failing triple.
+    enough to check the middles of the greedy generating set that
+    _generators picks over the whole table -- at most log2(n) of them for
+    a group of order n, O(n^2 log n) in place of O(n^3).  The full scan
+    over every middle runs only when the proof fails, to name the
+    lexicographically first failing triple.
     """
     n = len(table)
     if n == 0:
         raise GroupTableError("empty operation table")
+    if n > MAX_GROUP_ORDER:
+        raise GroupTableError(f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}")
     rows = [list(r) for r in table]
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -211,7 +233,7 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
         p = list(range(n))
         p[0], p[ident] = ident, 0
         rows = [[p[rows[p[i]][p[j]]] for j in range(n)] for i in range(n)]
-    if _assoc_fault(rows, _generators(rows)) is not None:
+    if _assoc_fault(rows, _generators(rows, full_mask(n))) is not None:
         i, j, k = _assoc_fault(rows, range(n))
         raise GroupTableError(
             f"not associative at ({i},{j},{k}): "
@@ -232,49 +254,23 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
 def subgroup_defect(g: FiniteGroup, h: Mask) -> Optional[str]:
     """None if h is a subgroup of g, else a human-readable witness.
 
-    Closure is proved on a greedy generating set (_closed_on_generators),
+    Closure is proved on the greedy generating set of h (_generators),
     O(|h| log |h|) products.  The O(|h|^2) scan over every pair runs only
     when that proof fails, to name the first missing inverse or product.
     """
+    return _subgroup_generators(g, h)[1]
+
+
+def _subgroup_generators(g: FiniteGroup, h: Mask) -> tuple[Optional[list[int]], Optional[str]]:
+    """(a generating set of h, None) if h is a subgroup of g, else (None, witness)."""
     if not is_subset(h, full_mask(g.order)):
-        return f"subset {elements(h)} contains indices outside the group"
+        return None, f"subset {elements(h)} contains indices outside the group"
     if not h & 1:
-        return "subset does not contain the identity"
-    if _closed_on_generators(g, h):
-        return None
-    return _closure_witness(g, h)
-
-
-def _closed_on_generators(g: FiniteGroup, h: Mask) -> bool:
-    """Whether the right words over a generating set of h stay inside h.
-
-    Each generator is the least element of h not yet reached from 0 by
-    right words over the generators so far, and every reached element
-    meets every generator once.  If no product leaves h, the reached set
-    is all of h and is closed under the product, and a finite subset of a
-    group that is closed under the product is a subgroup.
-    """
-    op = g.op
-    gens: list[int] = []
-    reached = [0]
-    seen = 1
-    while seen != h:
-        rest = h & ~seen
-        gens.append((rest & -rest).bit_length() - 1)
-        # elements reached so far have met the earlier generators; new ones meet all
-        todo = [(x, len(gens) - 1) for x in reached]
-        while todo:
-            x, first = todo.pop()
-            row = op[x]
-            for t in gens[first:]:
-                y = row[t]
-                if not h >> y & 1:
-                    return False
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    reached.append(y)
-                    todo.append((y, 0))
-    return True
+        return None, "subset does not contain the identity"
+    gens = _generators(g.op, h)
+    if gens is None:
+        return None, _closure_witness(g, h)
+    return gens, None
 
 
 def _closure_witness(g: FiniteGroup, h: Mask) -> Optional[str]:
@@ -293,7 +289,9 @@ def _closure_witness(g: FiniteGroup, h: Mask) -> Optional[str]:
 def is_normal(g: FiniteGroup, h: Mask) -> bool:
     """Whether the subgroup h is normal in g.
 
-    Raises NotASubgroupError (with a witness) if h is not even a subgroup.
+    Decided by enumerate_cosets, which conjugates the generators of h by
+    those of g, both picked by _generators.  Raises NotASubgroupError
+    (with a witness) if h is not even a subgroup.
     """
     try:
         enumerate_cosets(g, h)
@@ -365,25 +363,26 @@ def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
     """Canonical coset system of a normal subgroup: h first, then ascending
     by least element.
 
-    That h is a subgroup is proved first by subgroup_defect on a generating
-    set of h; its scan over every pair runs only for a subset that is not
-    one, to name the witness.  Normality is proven along the way: h is
-    normal iff aH = Ha for one a in each left coset, since for g = a*h0
-    both gH and Hg equal aH.
+    h is proved a subgroup as in subgroup_defect, and then normal on the
+    generators _generators picks for g and for h: h is normal iff s*t*s^-1
+    is in h for every generator s of g and t of h, since the s that
+    conjugate h into (so onto) itself form a subgroup.  The cosets are the
+    left translates of h.
     """
-    defect = subgroup_defect(g, h)
-    if defect is not None:
+    gens, defect = _subgroup_generators(g, h)
+    if gens is None:
         raise NotASubgroupError(f"{elements(h)} is not a subgroup of {g.label}: {defect}")
+    for s in g._generating_set:
+        row, s_inv = g.op[s], g.inverse[s]
+        if any(not h >> g.op[row[t]][s_inv] & 1 for t in gens):
+            raise NotNormalError(f"{elements(h)} is not normal in {g.label}")
     rest = []
     seen = h
     for a in g.elements():
-        if seen >> a & 1:
-            continue
-        coset = left_translate(g, a, h)
-        if coset != right_translate(g, h, a):
-            raise NotNormalError(f"{elements(h)} is not normal in {g.label}")
-        rest.append(coset)
-        seen |= coset
+        if not seen >> a & 1:
+            coset = left_translate(g, a, h)
+            rest.append(coset)
+            seen |= coset
     # ascending least element == discovery order, since we scan elements in order
     return CosetSystem(h, (h, *rest))
 

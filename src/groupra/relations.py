@@ -58,7 +58,7 @@ class ConcreteRelation:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
-        return 0 <= a < self.size and bool(self.rows[a] >> b & 1)
+        return 0 <= a < self.size and 0 <= b < self.size and bool(self.rows[a] >> b & 1)
 
     def __repr__(self) -> str:
         return f"ConcreteRelation(size={self.size}, pairs={self.count()})"

@@ -69,19 +69,13 @@ def check_oracle_composition(alg: GroupRelationAlgebra) -> list[str]:
     failures = []
     rels = {a: alg.atom_relation(a) for a in alg.atoms()}
     union_cache: dict[frozenset[AtomIndex], tuple[int, ...]] = {}
-    size = alg.base.size
     for a in alg.atoms():
         for b in alg.atoms():
             expected = rel_compose(rels[a], rels[b])
-            got_atoms = alg.compose_atoms(a, b).atoms
-            rows = union_cache.get(got_atoms)
+            got = alg.compose_atoms(a, b)
+            rows = union_cache.get(got.atoms)
             if rows is None:
-                acc = [0] * size
-                for t in got_atoms:
-                    for i, row in enumerate(rels[t].rows):
-                        acc[i] |= row
-                rows = tuple(acc)
-                union_cache[got_atoms] = rows
+                rows = union_cache[got.atoms] = alg.materialize(got).rows
             if rows != expected.rows:
                 failures.append(f"{a.label()};{b.label()} disagrees with the oracle")
                 if len(failures) >= _CAP:

@@ -7,7 +7,7 @@ import pytest
 from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
 from groupra.cli import main
 from groupra.fileformat import emit_frame
-from groupra.groups import make_cyclic
+from groupra.groups import MAX_GROUP_ORDER, make_cyclic
 
 from tests.helpers import corrupt_map
 
@@ -290,6 +290,14 @@ def test_gen_refused_table_exits_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "2")
     assert (code, out) == (1, "")
     assert err == "not associative at (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4\n"
+
+
+def test_gen_refuses_an_order_over_the_cap(capsys, tmp_path):
+    kappa = tmp_path / "k.txt"
+    kappa.write_text("100000\n")
+    code, out, err = run_cli(capsys, "gen", "cyclic", "100000", str(kappa))
+    assert (code, out) == (1, "")
+    assert err == f"group order 100000 exceeds the cap of {MAX_GROUP_ORDER}\n"
 
 
 def test_gen_power_round_trip(capsys, tmp_path):

@@ -10,7 +10,7 @@ from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
 from groupra.errors import FrameFormatError
 from groupra.fileformat import emit_frame, parse_frame
 from groupra.frames import Frame
-from groupra.groups import make_cyclic, validate_table
+from groupra.groups import MAX_GROUP_ORDER, make_cyclic, validate_table
 
 KLEIN = [
     [0, 1, 2, 3],
@@ -152,6 +152,16 @@ def test_error_group_order_not_integer():
 
 def test_error_group_order_not_positive():
     expect_error(lines("group 0 cyclic 0"), 1, "must be positive")
+
+
+def test_error_group_order_over_the_cap():
+    # refused at the group line, before a row is read or a table is built
+    for kind in ("cyclic", "table"):
+        expect_error(
+            lines(f"group 0 {kind} 100000", "block 0"),
+            1,
+            f"group order 100000 exceeds the cap of {MAX_GROUP_ORDER}",
+        )
 
 
 def test_error_table_row_length():

@@ -16,6 +16,7 @@ from groupra.errors import (
 )
 from groupra.frames import Frame, IsoRecord
 from groupra.groups import (
+    MAX_GROUP_ORDER,
     CosetSystem,
     FiniteGroup,
     IsoCheck,
@@ -84,6 +85,19 @@ def test_make_cyclic():
 def test_make_cyclic_rejects_nonpositive():
     with pytest.raises(ValueError):
         make_cyclic(0)
+
+
+def test_group_orders_are_capped():
+    # well above the largest order of any test, shipped frame or benchmark (120)
+    assert MAX_GROUP_ORDER >= 1000
+    assert make_cyclic(MAX_GROUP_ORDER).order == MAX_GROUP_ORDER
+    over = MAX_GROUP_ORDER + 1
+    message = f"group order {over} exceeds the cap of {MAX_GROUP_ORDER}"
+    with pytest.raises(GroupTableError, match=message):
+        make_cyclic(over)
+    # refused on the row count, before any row is read
+    with pytest.raises(GroupTableError, match=message):
+        validate_table([[0]] * over)
 
 
 def test_validate_klein_table():
@@ -656,17 +670,50 @@ def normal_subgroups(g):
         found |= joins
 
 
+def cosets_outcome(g, h):
+    """enumerate_cosets' cosets, or the type and message of what it raised."""
+    try:
+        return CosetSystem, enumerate_cosets(g, h).cosets
+    except (NotASubgroupError, NotNormalError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_cosets_outcome(g, h):
+    """The same outcome by the definition: h is normal iff aH = Ha for every a."""
+    defect = reference_subgroup_defect(g, h)
+    if defect is not None:
+        return NotASubgroupError, f"{elements(h)} is not a subgroup of {g.label}: {defect}"
+    elems = elements(h)
+    left = [mask_of(g.mul(a, x) for x in elems) for a in g.elements()]
+    if any(left[a] != mask_of(g.mul(x, a) for x in elems) for a in g.elements()):
+        return NotNormalError, f"{elements(h)} is not normal in {g.label}"
+    # h first, then ascending by least element
+    return CosetSystem, tuple(sorted(set(left), key=lambda c: (c != h, c & -c)))
+
+
 def test_subgroup_defect_matches_the_pair_scan():
     checked = 0
+    references = {}
+
+    def check(g, h):
+        key = (g.label, h)
+        assert subgroup_defect(g, h) == reference_subgroup_defect(g, h), key
+        if key not in references:  # subsets repeat, and the definition is slow on D60
+            references[key] = reference_cosets_outcome(g, h)
+        assert cosets_outcome(g, h) == references[key], key
+
     for label in ("S3", "D4", "Q8"):
         g = perm_group(label, *PERM_GENERATORS[label])
         for rest in range(1 << (g.order - 1)):
-            h = rest << 1 | 1
-            assert subgroup_defect(g, h) == reference_subgroup_defect(g, h), (label, h)
+            check(g, rest << 1 | 1)
             checked += 1
+    # D60 with its labels 1..119 reversed: some non-normal subgroups there have
+    # the central r^30 as their least element, so a normality proof that left
+    # out a generator of h would pass them
+    d60 = perm_group("D60", *PERM_GENERATORS["D60"])
+    reversed_d60 = validate_table(relabel(d60.op, [0, *range(119, 0, -1)]), "D60r")
     rng = random.Random(20261018)
-    for label in ("A4", "D60"):
-        g = perm_group(label, *PERM_GENERATORS[label])
+    for g in (perm_group("A4", *PERM_GENERATORS["A4"]), d60, reversed_d60):
         for i in range(2000):
             # a random subset, a subgroup, or a subgroup with one element toggled
             kind = i % 3
@@ -676,9 +723,14 @@ def test_subgroup_defect_matches_the_pair_scan():
                 h = generated(g, rng.sample(range(g.order), rng.randint(1, 2)))
                 if kind == 2:
                     h ^= 1 << rng.randrange(1, g.order)
-            assert subgroup_defect(g, h) == reference_subgroup_defect(g, h), (label, h)
+            check(g, h)
             checked += 1
-    assert checked == 32 + 128 + 128 + 4000
+    assert checked == 32 + 128 + 128 + 6000
+    assert {kind for kind, _ in references.values()} == {
+        CosetSystem,
+        NotASubgroupError,
+        NotNormalError,
+    }
 
 
 def test_enumerating_normal_cosets_never_runs_the_pair_scan(monkeypatch):

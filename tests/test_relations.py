@@ -37,6 +37,8 @@ def test_from_pairs_roundtrip():
     assert r.count() == 3
     assert (1, 2) in r
     assert (2, 1) not in r
+    for outside in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+        assert outside not in r
     assert ConcreteRelation.empty(4).pairs() == []
 
 
