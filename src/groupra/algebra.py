@@ -272,6 +272,12 @@ class GroupRelationAlgebra:
     # -- materialization -------------------------------------------------
 
     def atom_relation(self, a: AtomIndex) -> ConcreteRelation:
+        """The pairs of atom a on global ids, cached per atom.
+
+        The atom is the union over i of H_i x (K_i * K_alpha); rows are
+        filled per H-coset, each row of H_i getting the one column mask of
+        K_i * K_alpha shifted to G_y's ids.
+        """
         hit = self._relation_cache.get(a)
         if hit is None:
             self._require_atom(a)
@@ -281,13 +287,12 @@ class GroupRelationAlgebra:
             offx = self.base.offsets[a.x]
             offy = self.base.offsets[a.y]
             shift = record.k.cosets[a.alpha]
-            pairs = []
+            rows = [0] * self.base.size
             for hc, kc in zip(record.h.cosets, record.k.cosets):
-                cols = [offy + q for q in elements(complex_product(gy, kc, shift))]
+                cols = complex_product(gy, kc, shift) << offy
                 for p in iter_bits(hc):
-                    row = offx + p
-                    pairs.extend((row, col) for col in cols)
-            hit = ConcreteRelation.from_pairs(self.base.size, pairs)
+                    rows[offx + p] = cols
+            hit = ConcreteRelation(self.base.size, tuple(rows))
             self._relation_cache[a] = hit
         return hit
 

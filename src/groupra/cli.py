@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 semantic failure (bad frame, refused build,
 failed verification), 2 parse or usage error.  All output is sorted and
 reproducible.
+
+Each call of ``main`` builds its argument parser afresh, with only the
+subcommand its argv names (see ``_build_parser``), so it may be called
+repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -220,62 +224,85 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _flag(help_text: str) -> dict:
+    return {"action": "store_true", "help": help_text}
+
+
+# name -> (help, handler, arguments), in the order `groupra -h` lists them
+_COMMANDS = {
+    "validate": (
+        "run the frame check on a frame file",
+        _cmd_validate,
+        [("file", {}), ("--full", _flag("sweep all triples, not just ascending"))],
+    ),
+    "atoms": (
+        "list atoms with cardinalities",
+        _cmd_atoms,
+        [
+            ("file", {}),
+            ("--pairs", _flag("dump each atom's global-id pairs")),
+            ("--cosets", _flag("show the defining cosets")),
+        ],
+    ),
+    "op": (
+        "apply converse or composition to atoms",
+        _cmd_op,
+        [
+            ("file", {}),
+            ("kind", {"choices": ("conv", "comp")}),
+            ("args", {"nargs": "*"}),
+            ("--check", _flag("cross-check against the oracle")),
+        ],
+    ),
+    "table": ("full composition table with converse column", _cmd_table, [("file", {})]),
+    "measure": ("sub-identity atoms, measures, density flags", _cmd_measure, [("file", {})]),
+    "decompose": ("split into per-block components", _cmd_decompose, [("file", {})]),
+    "gen": (
+        "generate a frame file",
+        _cmd_gen,
+        [
+            ("family", {"choices": ("cyclic", "power")}),
+            ("spec", {"help": "cyclic: comma-separated orders; power: group table file"}),
+            ("extra", {"help": "cyclic: kappa matrix file; power: comma-separated subgroup"}),
+            ("count", {"nargs": "?", "type": int, "default": 1, "help": "power: number of copies"}),
+            ("blocks", {"nargs": "?", "help": "power: blocks like 0,1;2"}),
+        ],
+    ),
+    "verify": ("run the full verification sweeps", _cmd_verify, [("file", {})]),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or with ``command`` alone.
+
+    Each subcommand is a whole ``ArgumentParser``, so a parser with one
+    costs about a third of one with all eight.  For an argv that starts
+    with ``command`` it parses, prints and exits exactly as the full one
+    does, since its usage line still names every command.  ``main`` uses
+    the full parser for any other argv: -h, no command or an unknown one.
+    """
     parser = argparse.ArgumentParser(
         prog="groupra",
         description="Group relation algebras: validate frames, list atoms, "
         "compute operations, and generate frame files.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="run the frame check on a frame file")
-    p.add_argument("file")
-    p.add_argument("--full", action="store_true", help="sweep all triples, not just ascending")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("atoms", help="list atoms with cardinalities")
-    p.add_argument("file")
-    p.add_argument("--pairs", action="store_true", help="dump each atom's global-id pairs")
-    p.add_argument("--cosets", action="store_true", help="show the defining cosets")
-    p.set_defaults(func=_cmd_atoms)
-
-    p = sub.add_parser("op", help="apply converse or composition to atoms")
-    p.add_argument("file")
-    p.add_argument("kind", choices=("conv", "comp"))
-    p.add_argument("args", nargs="*")
-    p.add_argument("--check", action="store_true", help="cross-check against the oracle")
-    p.set_defaults(func=_cmd_op)
-
-    p = sub.add_parser("table", help="full composition table with converse column")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("measure", help="sub-identity atoms, measures, density flags")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("decompose", help="split into per-block components")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("gen", help="generate a frame file")
-    p.add_argument("family", choices=("cyclic", "power"))
-    p.add_argument("spec", help="cyclic: comma-separated orders; power: group table file")
-    p.add_argument("extra", help="cyclic: kappa matrix file; power: comma-separated subgroup")
-    p.add_argument("count", nargs="?", type=int, default=1, help="power: number of copies")
-    p.add_argument("blocks", nargs="?", help="power: blocks like 0,1;2")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("verify", help="run the full verification sweeps")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
-
+    # the metavar the full parser derives from its choices
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option but -h, so a command comes first
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except FrameFormatError as exc:
@@ -293,3 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

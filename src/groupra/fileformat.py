@@ -134,13 +134,13 @@ def parse_frame(text: str) -> Frame:
             if gid in groups:
                 raise FrameFormatError(line, f"duplicate group id {gid!r}")
             n = _int(tokens[3], line, "group order")
+            if n <= 0:
+                raise FrameFormatError(line, f"group order must be positive, got {n}")
             if n > MAX_GROUP_ORDER:
                 raise FrameFormatError(
                     line, f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}"
                 )
             if tokens[2] == "cyclic":
-                if n <= 0:
-                    raise FrameFormatError(line, f"group order must be positive, got {n}")
                 if n not in cyclic:
                     cyclic[n] = make_cyclic(n)
                 groups[gid] = cyclic[n]

@@ -1,24 +1,29 @@
 """Tests for the symbolic algebra: atoms, operations, materialization, reports."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
-from groupra.builders import build_cyclic_frame
+from groupra.builders import build_cyclic_frame, build_power_frame
 from groupra.errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
+from groupra.fileformat import parse_frame
 from groupra.frames import Frame, IsoRecord, check_frame_full, check_frame_reduced
 from groupra.groups import (
     CosetSystem,
     FiniteGroup,
+    elements,
     enumerate_cosets,
+    is_normal,
     make_cyclic,
     mask_of,
     validate_table,
 )
 from groupra.relations import (
+    ConcreteRelation,
     cayley_relation,
     identity_on,
     rel_compose,
@@ -28,6 +33,7 @@ from groupra.relations import (
 from groupra.verification import check_oracle_composition
 
 from tests.helpers import corrupt_kappa
+from tests.test_groups import PERM_GENERATORS, closure, perm_group
 import random
 
 
@@ -248,6 +254,47 @@ def test_atom_relations_partition_unit():
         union = rel_union(union, rel)
     assert union == ALG.unit_relation()
     assert total == union.count() == 15 * 15
+
+
+def atom_pairs_by_definition(alg: GroupRelationAlgebra, a: AtomIndex) -> set:
+    """{(offx+p, offy+k*s) : p in H_i, k in K_i, s in K_alpha}, element by element."""
+    record = alg.frame.resolve_iso(a.x, a.y)
+    gy = alg.frame.groups[a.y]
+    offx, offy = alg.base.offsets[a.x], alg.base.offsets[a.y]
+    shift = elements(record.k.cosets[a.alpha])
+    return {
+        (offx + p, offy + gy.mul(k, s))
+        for hc, kc in zip(record.h.cosets, record.k.cosets)
+        for p in elements(hc)
+        for k in elements(kc)
+        for s in shift
+    }
+
+
+def materialization_frames() -> list[Frame]:
+    frames = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame")):
+        frame = parse_frame(path.read_text())
+        assert check_frame_reduced(frame).ok, path.name
+        frames.append(frame)
+    for label in ("S3", "D4", "Q8", "A4"):
+        g = perm_group(label, *PERM_GENERATORS[label])
+        subgroups = {closure(g, p, q) for p in g.elements() for q in g.elements()}
+        for n in sorted(n for n in subgroups if is_normal(g, n)):
+            frames.append(build_power_frame(g, n, ["0", "1"]))
+    return frames
+
+
+def test_atom_relations_match_their_definition():
+    frames = materialization_frames()
+    # power frames over every normal subgroup: S3 3, D4 6, Q8 6, A4 3
+    shipped = len(frames) - (3 + 6 + 6 + 3)
+    assert shipped >= 5
+    for frame in frames:
+        alg = GroupRelationAlgebra(frame)
+        for a in alg.atoms():
+            expected = ConcreteRelation.from_pairs(alg.base.size, atom_pairs_by_definition(alg, a))
+            assert alg.atom_relation(a) == expected, a
 
 
 def test_materialize_unions_atoms():

@@ -1,11 +1,16 @@
 """Tests for the command-line interface: exact output and exit codes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupra
 from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
-from groupra.cli import main
+from groupra.cli import _build_parser, main
 from groupra.fileformat import emit_frame
 from groupra.groups import MAX_GROUP_ORDER, make_cyclic
 
@@ -378,3 +383,95 @@ def test_usage_error_raises_system_exit(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()
+
+
+def call_cli(capsys, argv):
+    """run_cli, with a SystemExit out of main caught and returned as the code."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("SystemExit", exc.code), captured.out, captured.err
+
+
+def test_one_process_answers_many_queries_like_lone_calls(capsys, z6z9_file):
+    sequence = [
+        ["op", z6z9_file, "comp", "0", "1", "1", "0", "1", "--check"],
+        ["op", z6z9_file, "conv", "0", "1", "1"],
+        ["op", z6z9_file, "bogus"],
+        ["validate", "--full", z6z9_file],
+        ["validate", z6z9_file],
+        ["op", z6z9_file, "comp", "0", "1", "1", "0", "1", "--check"],
+    ]
+    first = [call_cli(capsys, argv) for argv in sequence]
+    assert first[0] == (0, "((0,0),2) ((0,0),5)\noracle: MATCH\n", "")
+    assert first[1] == (0, "((1,0),2)\n", "")
+    assert first[2][0] == ("SystemExit", 2)
+    assert "invalid choice: 'bogus'" in first[2][2]
+    assert first[3] == (0, "frame check (full): PASS\n", "")
+    assert first[4] == (0, "frame check (reduced): PASS\n", "")
+    assert first[5] == first[0]
+    # each call alone, in reverse order, prints what it printed in sequence
+    assert [call_cli(capsys, argv) for argv in reversed(sequence)] == first[::-1]
+
+
+def parse_with(parser, argv, capsys):
+    """The namespace parser.parse_args(argv) returns, or its exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [],
+        ["-h"],
+        ["f"],
+        ["f", "--bogus"],
+        ["--full", "f"],
+        ["--pairs", "--cosets", "f"],
+        ["f", "comp", "0", "1", "1", "0", "1", "--check"],
+        ["f", "conv", "0", "1", "1"],
+        ["f", "bogus"],
+        ["cyclic", "6,9", "k.txt"],
+        ["power", "m.txt", "0,3", "2", "0,1"],
+        ["power", "m.txt", "0", "two"],
+    ],
+)
+def test_parser_with_one_command_acts_like_the_full_parser(capsys, tail):
+    full = _build_parser()
+    for command in ("validate", "atoms", "op", "table", "measure", "decompose", "gen", "verify"):
+        argv = [command, *tail]
+        assert parse_with(_build_parser(command), argv, capsys) == parse_with(full, argv, capsys)
+
+
+def test_argv_without_a_command_gets_the_full_parser(capsys):
+    commands = "{validate,atoms,op,table,measure,decompose,gen,verify}"
+    code, out, _ = call_cli(capsys, ["-h"])
+    assert code == ("SystemExit", 0)
+    assert commands in out and "apply converse or composition to atoms" in out
+    code, _, err = call_cli(capsys, ["opp", "f"])
+    assert code == ("SystemExit", 2)
+    assert "invalid choice: 'opp' (choose from 'validate', 'atoms', 'op'," in err
+    code, _, err = call_cli(capsys, [])
+    assert code == ("SystemExit", 2)
+    assert err.endswith("error: the following arguments are required: command\n")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    path = tmp_path / "nonsense.frame"
+    path.write_text("blart\n")
+    src = str(Path(groupra.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "groupra.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "parse error: line 1: unknown directive 'blart'\n"

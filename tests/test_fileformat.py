@@ -154,6 +154,14 @@ def test_error_group_order_not_positive():
     expect_error(lines("group 0 cyclic 0"), 1, "must be positive")
 
 
+def test_error_table_order_not_positive():
+    # refused at the group line with the cyclic wording, before any row is read
+    for n in (-3, 0):
+        expect_error(
+            lines(f"group 0 table {n}", "block 0"), 1, f"group order must be positive, got {n}"
+        )
+
+
 def test_error_group_order_over_the_cap():
     # refused at the group line, before a row is read or a table is built
     for kind in ("cyclic", "table"):
