@@ -14,6 +14,7 @@ from .frames import Frame, IsoRecord, check_frame_reduced
 from .groups import CosetSystem, FiniteGroup, Mask, enumerate_cosets, make_cyclic, mask_of
 
 __all__ = [
+    "MAX_POWER_COPIES",
     "build_complex_algebra_frame",
     "build_power_frame",
     "build_cyclic_frame",
@@ -22,6 +23,10 @@ __all__ = [
 ]
 
 KappaSpec = Union[Mapping[tuple[int, int], int], Sequence[Sequence[int]]]
+
+# The most copies a power frame may have.  A block of k copies holds
+# k(k-1)/2 records and its frame check walks k(k-1)(k-2)/6 triples.
+MAX_POWER_COPIES = 64
 
 
 def _finish(frame: Frame, what: str) -> Frame:
@@ -47,8 +52,13 @@ def build_power_frame(
     Every index carries m itself, and each in-block isomorphism matches
     cosets of n positionally (the copies are renumberings of each other).
     With n = {e} all cross atoms are bijections; with n = m each related
-    rectangle is a single atom.
+    rectangle is a single atom.  More than MAX_POWER_COPIES ids are refused
+    before any coset is enumerated.
     """
+    if len(ids) > MAX_POWER_COPIES:
+        raise FrameBuildError(
+            f"power frame of {len(ids)} copies exceeds the cap of {MAX_POWER_COPIES}"
+        )
     system = enumerate_cosets(m, n)
     if blocks is None:
         blocks = [list(ids)]

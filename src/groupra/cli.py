@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from .algebra import AtomIndex, GroupRelationAlgebra
 from .builders import build_cyclic_frame, build_power_frame
 from .errors import FrameBuildError, FrameFormatError, NotRelatedError
-from .fileformat import _int, emit_frame, parse_frame
+from .fileformat import _content_lines, _int, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
 from .groups import elements, mask_of, validate_table
 from .relations import rel_compose, rel_converse
@@ -30,16 +29,6 @@ __all__ = ["main", "run"]
 
 def _fmt_mask(mask: int) -> str:
     return "{" + ",".join(map(str, elements(mask))) + "}"
-
-
-def _read_text(path: str) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number lines as the parser does; the text before the bad byte decodes
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise FrameFormatError(line, f"not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_frame(path: str) -> Frame:
@@ -168,14 +157,12 @@ def _parse_failure(source: str, message: str) -> NoReturn:
 
 
 def _read_matrix(path: str, what: str) -> list[list[int]]:
-    """Integer rows of a whitespace-separated file; '#' starts a comment."""
+    """Integer rows of a file, read with the frame format's comment rules."""
     try:
-        rows = []
-        for line, raw in enumerate(_read_text(path).splitlines(), 1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                rows.append([_int(t, line, what) for t in body.split()])
-        return rows
+        return [
+            [_int(t, line, what) for t in tokens]
+            for line, tokens in _content_lines(_read_text(path))
+        ]
     except FrameFormatError as exc:
         _parse_failure(path, str(exc))
 

@@ -30,6 +30,10 @@ to integers and validated once.  Every table id still gets its own
 FiniteGroup, labelled T<id>, over the shared rows, so each error names the
 id it is about.
 
+Files are read as UTF-8 (``_read_text``), and a byte that does not decode
+is refused at its line.  The command line reads its kappa matrices and group
+tables through the same two routines, so they follow the same text rules.
+
 Emission is normalized: declaration order, canonical representatives,
 single spaces.  Emitting a parsed emission reproduces it byte for byte.
 """
@@ -37,6 +41,7 @@ single spaces.  Emitting a parsed emission reproduces it byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .errors import (
     FrameFormatError,
@@ -94,7 +99,19 @@ def _table_entries(rows: list[tuple[int, list[str]]]) -> list[list[int]]:
     return out
 
 
+def _read_text(path: str) -> str:
+    """A file's text; a byte that is not UTF-8 is a FrameFormatError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as _content_lines does; the text before the bad byte decodes
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise FrameFormatError(line, f"not UTF-8 text (byte {exc.start})") from None
+
+
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that is not blank once its comment goes."""
     out = []
     for i, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()

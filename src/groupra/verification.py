@@ -1,20 +1,25 @@
 """Whole-algebra verification sweeps.
 
-These back the CLI ``verify`` command and the heavier test suites: every
-sweep returns a list of failure descriptions (empty meaning the property
-held).  The oracle sweeps compare symbolic results against plain bit-matrix
-arithmetic from the relations module.
+These back the CLI ``verify`` command and the heavier test suites.  Each
+sweep is written as a generator that yields its failure descriptions in the
+order it finds them; ``_capped`` turns it into the public ``check_*``
+function, which returns the first ``_CAP`` of them as a list (empty meaning
+the property held) and stops the sweep there.  The oracle sweeps compare
+symbolic results against plain bit-matrix arithmetic from the relations
+module.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from typing import Callable
+from typing import Callable, Iterator, ParamSpec
 
 from .algebra import AtomIndex, FrameElement, GroupRelationAlgebra
 from .frames import Frame, try_image
-from .groups import complex_product, elements
-from .relations import ConcreteRelation, rel_compose, rel_converse
+from .groups import complex_product
+from .relations import rel_compose, rel_converse
 
 __all__ = [
     "check_partition",
@@ -30,43 +35,47 @@ __all__ = [
     "VERIFY_SWEEPS",
 ]
 
-_CAP = 10  # stop collecting failures past this many
+_CAP = 10  # each check_* returns at most this many failures; see _capped
+P = ParamSpec("P")
 
 
-def check_partition(alg: GroupRelationAlgebra) -> list[str]:
+def _capped(sweep: Callable[P, Iterator[str]]) -> Callable[P, list[str]]:
+    """The sweep as a list of its first _CAP failures; the sweep stops there."""
+
+    @functools.wraps(sweep)
+    def capped(*args: P.args, **kwargs: P.kwargs) -> list[str]:
+        return list(itertools.islice(sweep(*args, **kwargs), _CAP))
+
+    return capped
+
+
+@_capped
+def check_partition(alg: GroupRelationAlgebra) -> Iterator[str]:
     """Atoms must tile the unit: pairwise disjoint, union = related rectangles."""
-    failures = []
     seen = [0] * alg.base.size
     for a in alg.atoms():
         rel = alg.atom_relation(a)
         for i, row in enumerate(rel.rows):
             if seen[i] & row:
-                failures.append(f"atom {a.label()} overlaps an earlier atom in row {i}")
+                yield f"atom {a.label()} overlaps an earlier atom in row {i}"
                 break
             seen[i] |= row
-        if len(failures) >= _CAP:
-            return failures
-    unit = alg.unit_relation()
-    if tuple(seen) != unit.rows:
-        failures.append("atom union differs from the unit relation")
-    return failures
+    if tuple(seen) != alg.unit_relation().rows:
+        yield "atom union differs from the unit relation"
 
 
-def check_oracle_converse(alg: GroupRelationAlgebra) -> list[str]:
-    failures = []
+@_capped
+def check_oracle_converse(alg: GroupRelationAlgebra) -> Iterator[str]:
     for a in alg.atoms():
         symbolic = alg.atom_relation(alg.converse_atom(a))
         concrete = rel_converse(alg.atom_relation(a))
         if symbolic != concrete:
-            failures.append(f"converse of {a.label()} disagrees with the oracle")
-            if len(failures) >= _CAP:
-                break
-    return failures
+            yield f"converse of {a.label()} disagrees with the oracle"
 
 
-def check_oracle_composition(alg: GroupRelationAlgebra) -> list[str]:
+@_capped
+def check_oracle_composition(alg: GroupRelationAlgebra) -> Iterator[str]:
     """Materialized compose_atoms must equal bit-matrix composition, all pairs."""
-    failures = []
     rels = {a: alg.atom_relation(a) for a in alg.atoms()}
     union_cache: dict[frozenset[AtomIndex], tuple[int, ...]] = {}
     for a in alg.atoms():
@@ -77,38 +86,32 @@ def check_oracle_composition(alg: GroupRelationAlgebra) -> list[str]:
             if rows is None:
                 rows = union_cache[got.atoms] = alg.materialize(got).rows
             if rows != expected.rows:
-                failures.append(f"{a.label()};{b.label()} disagrees with the oracle")
-                if len(failures) >= _CAP:
-                    return failures
-    return failures
+                yield f"{a.label()};{b.label()} disagrees with the oracle"
 
 
-def check_involution(alg: GroupRelationAlgebra) -> list[str]:
+@_capped
+def check_involution(alg: GroupRelationAlgebra) -> Iterator[str]:
     """conv(conv(a)) = a and conv(a;b) = conv(b);conv(a)."""
-    failures = []
     for a in alg.atoms():
         if alg.converse_atom(alg.converse_atom(a)) != a:
-            failures.append(f"converse of {a.label()} is not involutive")
+            yield f"converse of {a.label()} is not involutive"
     for a in alg.atoms():
         ca = alg.element([alg.converse_atom(a)])
         for b in alg.atoms():
             left = alg.converse(alg.compose_atoms(a, b))
             right = alg.compose(alg.element([alg.converse_atom(b)]), ca)
             if left != right:
-                failures.append(f"second involution law fails at {a.label()},{b.label()}")
-                if len(failures) >= _CAP:
-                    return failures
-    return failures
+                yield f"second involution law fails at {a.label()},{b.label()}"
 
 
-def check_associativity(alg: GroupRelationAlgebra, cap: int = 30) -> list[str]:
+@_capped
+def check_associativity(alg: GroupRelationAlgebra, cap: int = 30) -> Iterator[str]:
     """(a;b);c = a;(b;c) over atom triples.
 
     Exhaustive up to ``cap`` atoms; beyond that only the first ``cap`` atoms
     in index order are swept (deterministic either way).
     """
     atoms = alg.atoms()[:cap]
-    failures = []
     for a in atoms:
         for b in atoms:
             ab = alg.compose_atoms(a, b).atoms
@@ -120,12 +123,7 @@ def check_associativity(alg: GroupRelationAlgebra, cap: int = 30) -> list[str]:
                 for t in alg.compose_atoms(b, c).atoms:
                     right |= alg.compose_atoms(a, t).atoms
                 if left != right:
-                    failures.append(
-                        f"associativity fails at {a.label()},{b.label()},{c.label()}"
-                    )
-                    if len(failures) >= _CAP:
-                        return failures
-    return failures
+                    yield f"associativity fails at {a.label()},{b.label()},{c.label()}"
 
 
 def _sample_elements(alg: GroupRelationAlgebra, count: int, seed: int) -> list[FrameElement]:
@@ -141,19 +139,20 @@ def _sample_elements(alg: GroupRelationAlgebra, count: int, seed: int) -> list[F
     return out
 
 
-def check_identity_laws(alg: GroupRelationAlgebra, count: int = 25, seed: int = 11) -> list[str]:
+@_capped
+def check_identity_laws(
+    alg: GroupRelationAlgebra, count: int = 25, seed: int = 11
+) -> Iterator[str]:
     ident = alg.identity_element()
-    failures = []
     for e in [alg.unit(), alg.zero(), *_sample_elements(alg, count, seed)]:
         if alg.compose(ident, e) != e or alg.compose(e, ident) != e:
-            failures.append(f"identity law fails on {e!r}")
-            if len(failures) >= _CAP:
-                break
-    return failures
+            yield f"identity law fails on {e!r}"
 
 
-def check_boolean_laws(alg: GroupRelationAlgebra, count: int = 100, seed: int = 7) -> list[str]:
-    failures = []
+@_capped
+def check_boolean_laws(
+    alg: GroupRelationAlgebra, count: int = 100, seed: int = 7
+) -> Iterator[str]:
     sample = _sample_elements(alg, count, seed)
     unit, zero = alg.unit(), alg.zero()
     for i, e in enumerate(sample):
@@ -170,30 +169,24 @@ def check_boolean_laws(alg: GroupRelationAlgebra, count: int = 100, seed: int = 
         ]
         for ok, name in checks:
             if not ok:
-                failures.append(f"{name} fails on sample {i}")
-        if len(failures) >= _CAP:
-            break
-    return failures
+                yield f"{name} fails on sample {i}"
 
 
-def check_fast_paths(alg: GroupRelationAlgebra) -> list[str]:
+@_capped
+def check_fast_paths(alg: GroupRelationAlgebra) -> Iterator[str]:
     """fast_compose_subidentity agrees with compose_atoms wherever it applies."""
-    failures = []
     for a in alg.atoms():
         for b in alg.atoms():
             if a.y != b.x:
                 continue
             if a.x == a.y or b.x == b.y or b.y == a.x:
                 if alg.fast_compose_subidentity(a, b) != alg.compose_atoms(a, b):
-                    failures.append(f"fast path differs at {a.label()};{b.label()}")
-                    if len(failures) >= _CAP:
-                        return failures
-    return failures
+                    yield f"fast path differs at {a.label()};{b.label()}"
 
 
-def check_image_equations(frame: Frame) -> list[str]:
+@_capped
+def check_image_equations(frame: Frame) -> Iterator[str]:
     """The three Image Theorem equations, for every related chain (x,y),(y,z)."""
-    failures = []
     for block in frame.blocks:
         for x in block:
             for y in block:
@@ -209,14 +202,11 @@ def check_image_equations(frame: Frame) -> list[str]:
                     )
                     spot = f"({x},{y},{z})"
                     if try_image(rxy, hh) != kh:
-                        failures.append(f"first image equation fails at {spot}")
+                        yield f"first image equation fails at {spot}"
                     if try_image(ryz, kh) != kk:
-                        failures.append(f"second image equation fails at {spot}")
+                        yield f"second image equation fails at {spot}"
                     if try_image(rxz, hh) != kk:
-                        failures.append(f"third image equation fails at {spot}")
-                    if len(failures) >= _CAP:
-                        return failures
-    return failures
+                        yield f"third image equation fails at {spot}"
 
 
 VERIFY_SWEEPS: list[tuple[str, Callable[[GroupRelationAlgebra], list[str]]]] = [

@@ -4,6 +4,7 @@ import pytest
 
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.builders import (
+    MAX_POWER_COPIES,
     build_complex_algebra_frame,
     build_cyclic_frame,
     build_power_frame,
@@ -92,6 +93,21 @@ def test_power_frame_with_blocks():
 def test_power_frame_rejects_duplicate_ids():
     with pytest.raises(FrameBuildError, match="duplicate index"):
         build_power_frame(make_cyclic(2), 1, ["0", "0"])
+
+
+def test_power_frame_refuses_copies_over_the_cap_before_any_coset(monkeypatch):
+    def no_cosets(*args):
+        raise AssertionError("cosets enumerated")
+
+    monkeypatch.setattr("groupra.builders.enumerate_cosets", no_cosets)
+    for count in (MAX_POWER_COPIES + 1, 100000):
+        message = f"power frame of {count} copies exceeds the cap of {MAX_POWER_COPIES}"
+        with pytest.raises(FrameBuildError) as info:
+            build_power_frame(make_cyclic(2), 1, [str(i) for i in range(count)])
+        assert str(info.value) == message
+    # at the cap the build goes on to enumerate cosets
+    with pytest.raises(AssertionError, match="cosets enumerated"):
+        build_power_frame(make_cyclic(2), 1, [str(i) for i in range(MAX_POWER_COPIES)])
 
 
 def test_cyclic_frame_mapping_and_matrix_agree():

@@ -1,17 +1,23 @@
 """Tests for the command-line interface: exact output and exit codes."""
 
+import contextlib
+import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupra
-from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
+from groupra.builders import MAX_POWER_COPIES, build_cyclic_frame, build_power_frame, merge_frames
 from groupra.cli import _build_parser, main
-from groupra.fileformat import emit_frame
+from groupra.fileformat import emit_frame, parse_frame
 from groupra.groups import MAX_GROUP_ORDER, make_cyclic
 
 from tests.helpers import corrupt_map
@@ -325,6 +331,14 @@ def test_gen_power_without_copies(capsys, tmp_path):
         assert (code, out, err) == (1, "", "empty block\n")
 
 
+def test_gen_power_refuses_copies_over_the_cap(capsys, tmp_path):
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "100000")
+    assert (code, out) == (1, "")
+    assert err == f"power frame of 100000 copies exceeds the cap of {MAX_POWER_COPIES}\n"
+
+
 def test_gen_power_with_blocks(capsys, tmp_path):
     table = tmp_path / "z2.txt"
     table.write_text("0 1\n1 0\n")
@@ -475,3 +489,76 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "parse error: line 1: unknown directive 'blart'\n"
+
+
+# (family, input file text, arguments after the file): the file is a kappa
+# matrix for cyclic, a group table for power; the arguments are the orders
+# (which precede the file on the command line) or the normal subgroup,
+# the number of copies and the blocks
+GEN_INPUTS = [
+    ("cyclic", "6 3\n3 9\n", ["6,9"]),
+    ("cyclic", "4 2 2\n2 8 2\n2 2 6\n", ["4,8,6"]),
+    ("cyclic", "# two blocks\n6 0 3\n0 4 0\n3 0 9\n", ["6,4,9"]),
+    ("power", "0 1\n1 0\n", ["0", "2"]),
+    ("power", "0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n", ["0,1", "3", "0,1;2"]),
+    ("power", "0 1 2\n1 2 0\n2 0 1\n", ["0,1,2", "4", "0,1;2,3"]),
+]
+GEN_VOCABULARY = [
+    *"0 1 2 3 4 5 6 8 9 12 -1 1025 x # , ;".split(),
+    "\n",
+    "",
+]
+GEN_COUNTS = ["-1", "0", "1", "2", "3", "4", "x", ""]
+
+
+def _mutate_tokens(tokens: list[str], rng: random.Random) -> None:
+    kind = rng.choice(["replace", "delete", "insert"])
+    if kind == "insert":
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(GEN_VOCABULARY))
+    elif tokens and kind == "replace":
+        tokens[rng.randrange(len(tokens))] = rng.choice(GEN_VOCABULARY)
+    elif tokens:
+        del tokens[rng.randrange(len(tokens))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(GEN_INPUTS), st.randoms(use_true_random=False))
+def test_mutated_gen_inputs_exit_cleanly(case, rng):
+    """One to three mutations of the input file's tokens or of an argument:
+    ``gen`` exits 0 with a frame the reader takes back, or 1 or 2 with a
+    message and no traceback; a malformed count is argparse's usage error."""
+    family, text, arguments = case
+    text_tokens = [t for t in text.replace("\n", " \n ").split(" ") if t]
+    # arguments as integer and separator tokens; -1 stands for the file
+    arg_tokens = [[t for t in re.split(r"([,;])", arg) if t] for arg in arguments]
+    count_at = 1 if family == "power" else None
+    for _ in range(rng.randint(1, 3)):
+        target = rng.randrange(-1, len(arg_tokens))
+        if target == -1:
+            _mutate_tokens(text_tokens, rng)
+        elif target == count_at:
+            arg_tokens[target] = [rng.choice(GEN_COUNTS)]
+        else:
+            _mutate_tokens(arg_tokens[target], rng)
+    args = ["".join(tokens) for tokens in arg_tokens]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(" ".join(text_tokens))
+        if family == "cyclic":
+            argv = ["gen", "cyclic", args[0], path, *args[1:]]
+        else:
+            argv = ["gen", "power", path, *args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = 2
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert emit_frame(parse_frame(out.getvalue())) == out.getvalue()
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue() and "Traceback" not in err.getvalue(), argv

@@ -2,7 +2,7 @@
 
 import random
 
-from groupra.algebra import GroupRelationAlgebra
+from groupra.algebra import AtomIndex, FrameElement, GroupRelationAlgebra
 from groupra.builders import build_cyclic_frame
 from groupra.frames import check_frame_full
 from groupra.verification import (
@@ -11,6 +11,7 @@ from groupra.verification import (
     check_boolean_laws,
     check_identity_laws,
     check_image_equations,
+    check_involution,
     check_oracle_composition,
     verify_algebra,
 )
@@ -97,3 +98,41 @@ def test_map_perturbation_hides_from_image_equations():
     report = check_frame_full(bad)
     assert not report.ok
     assert {v.condition for v in report.violations} == {"iv"}
+
+
+def _broken_cyclic_algebra(monkeypatch) -> GroupRelationAlgebra:
+    """Z6, Z9, Z12 with kappa 3, whose converse sends every atom to alpha 0."""
+    frame = build_cyclic_frame([6, 9, 12], {(0, 1): 3, (0, 2): 3, (1, 2): 3})
+    alg = GroupRelationAlgebra(frame)
+    monkeypatch.setattr(alg, "converse_atom", lambda a: AtomIndex(a.y, a.x, 0))
+    return alg
+
+
+def test_involution_reports_its_first_ten_failures(monkeypatch):
+    alg = _broken_cyclic_algebra(monkeypatch)
+    # the first law fails at every atom with alpha != 0, before any pair is tried
+    expected = [f"converse of {a.label()} is not involutive" for a in alg.atoms() if a.alpha]
+    assert len(expected) == 36
+    assert check_involution(alg) == expected[:10]
+
+
+def test_no_sweep_reports_more_than_ten_failures(monkeypatch):
+    alg = _broken_cyclic_algebra(monkeypatch)
+    real = alg.compose_atoms
+    first = alg.atoms()[0]
+
+    def wrong(a, b):
+        got = real(a, b)
+        return alg.element(got.atoms | {first}) if a.y == b.x else got
+
+    monkeypatch.setattr(alg, "compose_atoms", wrong)
+    # up to seven Boolean laws fail on each sample
+    monkeypatch.setattr(FrameElement, "complement", lambda e: e)
+    report = dict(verify_algebra(alg))
+    assert max(len(failures) for failures in report.values()) == 10
+    assert len(report["involution"]) == len(report["boolean-laws"]) == 10
+    assert len(list(check_boolean_laws.__wrapped__(alg))) > 10
+    # up to three image equations fail at each triple
+    bad = corrupt_kappa(random.Random(3))
+    assert len(list(check_image_equations.__wrapped__(bad))) == 12
+    assert check_image_equations(bad) == list(check_image_equations.__wrapped__(bad))[:10]
