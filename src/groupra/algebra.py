@@ -27,7 +27,7 @@ from .groups import (
     left_translate,
     right_translate,
 )
-from .relations import ConcreteRelation
+from .relations import ConcreteRelation, identity_on
 
 __all__ = [
     "AtomIndex",
@@ -317,40 +317,32 @@ class GroupRelationAlgebra:
         return ConcreteRelation(self.base.size, tuple(rows))
 
     def identity_relation(self) -> ConcreteRelation:
-        return ConcreteRelation(self.base.size, tuple(1 << i for i in range(self.base.size)))
+        return identity_on(self.base.size)
 
     # -- reporting -------------------------------------------------------
 
     def measure_report(self) -> MeasureReport:
-        """Sub-identity atoms with their measures; also re-verifies that every
-        square atom is a bijection of its group."""
+        """Sub-identity atoms 1'_x with their measures, read off the atom table.
+
+        The measure of 1'_x is the number of atoms in 1'_x;1;1'_x, each of
+        which must be a permutation: conv(a);a = a;conv(a) = 1'_x.  Only the
+        public symbolic operations are used, so no relation is materialized.
+        """
+        unit = self.unit()
         entries = []
         for x in self.frame.order:
-            n = self.frame.groups[x].order
-            off = self.base.offsets[x]
-            for alpha in range(n):
-                rel = self.atom_relation(AtomIndex(x, x, alpha))
-                if not self._block_bijection(rel, off, n):
-                    raise RuntimeError(f"square atom (({x},{x}),{alpha}) is not functional")
-            entries.append(MeasureEntry(x, AtomIndex(x, x, 0), n))
+            one = self.element([AtomIndex(x, x, 0)])
+            square = self.compose(self.compose(one, unit), one)
+            for a in square.sorted_atoms():
+                inverse = self.converse_atom(a)
+                if not self.compose_atoms(inverse, a) == self.compose_atoms(a, inverse) == one:
+                    raise RuntimeError(f"square atom {a.label()} is not functional")
+            entries.append(MeasureEntry(x, AtomIndex(x, x, 0), len(square)))
         return MeasureReport(
             tuple(entries),
             pair_dense=all(e.measure <= 2 for e in entries),
             singleton_dense=all(e.measure == 1 for e in entries),
         )
-
-    @staticmethod
-    def _block_bijection(rel: ConcreteRelation, off: int, n: int) -> bool:
-        span = ((1 << n) - 1) << off
-        seen = 0
-        for i, row in enumerate(rel.rows):
-            if off <= i < off + n:
-                if row.bit_count() != 1 or not is_subset(row, span):
-                    return False
-                seen |= row
-            elif row:
-                return False
-        return seen == span
 
     def is_simple(self) -> bool:
         """Simple iff there is exactly one (nonempty) block."""

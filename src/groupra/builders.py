@@ -18,6 +18,7 @@ __all__ = [
     "build_complex_algebra_frame",
     "build_power_frame",
     "build_cyclic_frame",
+    "check_power_copies",
     "cyclic_iso_record",
     "merge_frames",
 ]
@@ -27,6 +28,14 @@ KappaSpec = Union[Mapping[tuple[int, int], int], Sequence[Sequence[int]]]
 # The most copies a power frame may have.  A block of k copies holds
 # k(k-1)/2 records and its frame check walks k(k-1)(k-2)/6 triples.
 MAX_POWER_COPIES = 64
+
+
+def check_power_copies(count: int) -> None:
+    """Refuse a power frame of more than MAX_POWER_COPIES copies."""
+    if count > MAX_POWER_COPIES:
+        raise FrameBuildError(
+            f"power frame of {count} copies exceeds the cap of {MAX_POWER_COPIES}"
+        )
 
 
 def _finish(frame: Frame, what: str) -> Frame:
@@ -55,10 +64,7 @@ def build_power_frame(
     rectangle is a single atom.  More than MAX_POWER_COPIES ids are refused
     before any coset is enumerated.
     """
-    if len(ids) > MAX_POWER_COPIES:
-        raise FrameBuildError(
-            f"power frame of {len(ids)} copies exceeds the cap of {MAX_POWER_COPIES}"
-        )
+    check_power_copies(len(ids))
     system = enumerate_cosets(m, n)
     if blocks is None:
         blocks = [list(ids)]

@@ -16,7 +16,7 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .algebra import AtomIndex, GroupRelationAlgebra
-from .builders import build_cyclic_frame, build_power_frame
+from .builders import build_cyclic_frame, build_power_frame, check_power_copies
 from .errors import FrameBuildError, FrameFormatError, NotRelatedError
 from .fileformat import _content_lines, _int, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
@@ -131,7 +131,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
-    report = alg.measure_report()
+    try:
+        report = alg.measure_report()
+    except RuntimeError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     for i, entry in enumerate(report.entries):
         print(f"{i} {entry.atom.label()} {entry.measure}")
     print(f"pair-dense: {'yes' if report.pair_dense else 'no'}")
@@ -187,6 +191,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             if negative is not None:
                 _parse_failure("normal subgroup", f"element must be non-negative, got {negative}")
             n_mask = mask_of(n_elems)
+            check_power_copies(args.count)
             ids = [str(i) for i in range(args.count)]
             if args.blocks:
                 blocks = [part.split(",") for part in args.blocks.split(";")]

@@ -4,8 +4,9 @@ import random
 from math import gcd
 
 from groupra.builders import build_cyclic_frame, cyclic_iso_record
+from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.frames import Frame, IsoRecord
-from groupra.groups import CosetSystem, make_cyclic
+from groupra.groups import CosetSystem, make_cyclic, mask_of, validate_table
 
 
 def divisors(n: int) -> list[int]:
@@ -121,3 +122,44 @@ def verdict_corpus() -> tuple[list[Frame], list[Frame]]:
     for _ in range(10):
         corrupted.append(corrupt_kappa(rng))
     return sound, corrupted
+
+
+def frame_from_atom_table(alg: GroupRelationAlgebra) -> Frame:
+    """The frame an algebra's atom table determines, asking only
+    compose_atoms and converse_atom.
+
+    The square atoms ((x,x),g) multiply as G_x does.  For a0 = ((x,y),0),
+    a0;conv(a0) holds the square atoms of H_xy and conv(a0);a0 those of
+    K_xy; ((x,x),g);a0 is the atom of g's H-coset and a0;((y,y),g) the
+    atom of g's image-order K-coset.
+    """
+
+    def alpha(a: AtomIndex, b: AtomIndex) -> int:
+        (atom,) = alg.compose_atoms(a, b).atoms
+        return atom.alpha
+
+    atoms = set(alg.atoms())
+    order = list(dict.fromkeys(a.x for a in alg.atoms()))
+    square = {x: [a for a in alg.atoms() if a.x == a.y == x] for x in order}
+    groups = {
+        x: validate_table([[alpha(a, b) for b in row] for a in row]) for x, row in square.items()
+    }
+    blocks = list(dict.fromkeys(tuple(y for y in order if (x, y, 0) in atoms) for x in order))
+    isos = {}
+    for block in blocks:
+        for i, x in enumerate(block):
+            for y in block[i + 1 :]:
+                a0 = AtomIndex(x, y, 0)
+                c0 = alg.converse_atom(a0)
+                kappa = sum(1 for a in atoms if (a.x, a.y) == (x, y))
+                h_cosets, k_cosets = [0] * kappa, [0] * kappa
+                for g, a in enumerate(square[x]):
+                    h_cosets[alpha(a, a0)] |= 1 << g
+                for g, a in enumerate(square[y]):
+                    k_cosets[alpha(a0, a)] |= 1 << g
+                h = mask_of(a.alpha for a in alg.compose_atoms(a0, c0).atoms)
+                k = mask_of(a.alpha for a in alg.compose_atoms(c0, a0).atoms)
+                isos[(x, y)] = IsoRecord(
+                    x, y, CosetSystem(h, tuple(h_cosets)), CosetSystem(k, tuple(k_cosets))
+                )
+    return Frame(groups, blocks, isos)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
-from groupra.builders import build_cyclic_frame, build_power_frame
+from groupra.builders import build_complex_algebra_frame, build_cyclic_frame, build_power_frame
 from groupra.errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
 from groupra.fileformat import parse_frame
 from groupra.frames import Frame, IsoRecord, check_frame_full, check_frame_reduced
@@ -32,7 +32,7 @@ from groupra.relations import (
 )
 from groupra.verification import check_oracle_composition
 
-from tests.helpers import corrupt_kappa
+from tests.helpers import corrupt_kappa, frame_from_atom_table
 from tests.test_groups import PERM_GENERATORS, closure, perm_group
 import random
 
@@ -213,6 +213,7 @@ def test_d4_q8_d4_glued_along_centres_under_every_map_choice():
         if reduced:
             passed += 1
             assert check_oracle_composition(GroupRelationAlgebra(frame)) == [], maps
+            assert frame_from_atom_table(GroupRelationAlgebra(frame)) == frame, maps
     assert passed == 36
 
 
@@ -364,6 +365,30 @@ def test_measure_report_running():
     ]
     assert not report.pair_dense
     assert not report.singleton_dense
+
+
+def test_measure_report_materializes_no_relation(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError(f"materialized {a.label()}")
+
+    monkeypatch.setattr(GroupRelationAlgebra, "atom_relation", refuse)
+    running = fresh_running_algebra()
+    assert [e.measure for e in running.measure_report().entries] == [6, 9]
+    z1024 = GroupRelationAlgebra(build_complex_algebra_frame(make_cyclic(1024)))
+    assert [e.measure for e in z1024.measure_report().entries] == [1024]
+    assert running._relation_cache == {} and z1024._relation_cache == {}
+
+
+def test_measure_report_catches_a_broken_engine(monkeypatch):
+    alg = fresh_running_algebra()
+    monkeypatch.setattr(alg, "compose_atoms", lambda a, b: alg.zero())
+    with pytest.raises(RuntimeError, match=r"^square atom \(\(0,0\),0\) is not functional$"):
+        alg.measure_report()
+
+
+def test_atom_table_determines_the_frame(corpus):
+    for frame in materialization_frames() + corpus:
+        assert frame_from_atom_table(GroupRelationAlgebra(frame)) == frame, frame
 
 
 def test_measure_density_flags():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupra
+from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.builders import MAX_POWER_COPIES, build_cyclic_frame, build_power_frame, merge_frames
 from groupra.cli import _build_parser, main
 from groupra.fileformat import emit_frame, parse_frame
@@ -204,6 +206,14 @@ def test_table_output(capsys, z6z9_file):
     assert conv_of["((0,1),1)"] == "((1,0),2)"
 
 
+def test_measure_reports_a_broken_engine_as_a_semantic_failure(capsys, monkeypatch, z6z9_file):
+    monkeypatch.setattr(
+        GroupRelationAlgebra, "converse_atom", lambda self, a: AtomIndex(a.y, a.x, 0)
+    )
+    code, out, err = run_cli(capsys, "measure", z6z9_file)
+    assert (code, out, err) == (1, "", "square atom ((0,0),1) is not functional\n")
+
+
 def test_measure_output(capsys, z6z9_file):
     code, out, _ = run_cli(capsys, "measure", z6z9_file)
     assert code == 0
@@ -337,6 +347,20 @@ def test_gen_power_refuses_copies_over_the_cap(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "100000")
     assert (code, out) == (1, "")
     assert err == f"power frame of 100000 copies exceeds the cap of {MAX_POWER_COPIES}\n"
+
+
+def test_gen_power_refuses_a_huge_count_before_building_ids(capsys, tmp_path):
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"power frame of 1000000 copies exceeds the cap of {MAX_POWER_COPIES}\n"
+    assert peak < 1 << 20, peak
 
 
 def test_gen_power_with_blocks(capsys, tmp_path):
