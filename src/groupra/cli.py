@@ -69,17 +69,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_atoms(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
     for i, atom in enumerate(alg.atoms()):
-        rel = alg.atom_relation(atom)
-        line = f"{i} {atom.label()} {rel.count()}"
+        record = alg.frame.resolve_iso(atom.x, atom.y)
+        # kappa H-cosets, each |H| rows by one K-coset: |G_x|*|K| pairs
+        size = alg.frame.groups[atom.x].order * record.k.subgroup.bit_count()
+        line = f"{i} {atom.label()} {size}"
         if args.cosets:
-            record = alg.frame.resolve_iso(atom.x, atom.y)
             line += (
                 f" coset={_fmt_mask(record.h.cosets[atom.alpha])}"
                 f" image={_fmt_mask(record.k.cosets[atom.alpha])}"
             )
         print(line)
         if args.pairs:
-            for a, b in rel.pairs():
+            for a, b in alg.atom_relation(atom).pairs():
                 print(f"{a} {b}")
     return 0
 

@@ -18,9 +18,10 @@ Which layer checks what: the reader enumerates H's and K's cosets to read
 a record.  It checks syntax, ids, blocks, element ranges and table groups,
 and maps representatives onto cosets, which needs H and K normal and the
 map a bijection fixing coset 0 (groups.map_defect, the map-form checks that
-check_quotient_iso runs too).  Frame then enumerates each subgroup once
-more to prove the record, and reads the homomorphism off the paired coset
-lists; a map it rejects is reported at that iso's ``map`` line.
+check_quotient_iso runs too).  Frame then checks the record: it asks
+enumerate_cosets again and gets the reader's systems back, since each group
+keeps the systems it has proved, and reads the homomorphism off the paired
+coset lists; a map it rejects is reported at that iso's ``map`` line.
 
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
 that line, before any table row is read or any group is built.  Each
@@ -52,10 +53,10 @@ from .errors import (
 )
 from .frames import Frame, IsoRecord
 from .groups import (
-    MAX_GROUP_ORDER,
     CosetSystem,
     FiniteGroup,
     Mask,
+    check_group_order,
     elements,
     enumerate_cosets,
     is_cyclic_table,
@@ -151,12 +152,10 @@ def parse_frame(text: str) -> Frame:
             if gid in groups:
                 raise FrameFormatError(line, f"duplicate group id {gid!r}")
             n = _int(tokens[3], line, "group order")
-            if n <= 0:
-                raise FrameFormatError(line, f"group order must be positive, got {n}")
-            if n > MAX_GROUP_ORDER:
-                raise FrameFormatError(
-                    line, f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}"
-                )
+            try:
+                check_group_order(n)
+            except GroupTableError as exc:
+                raise FrameFormatError(line, str(exc)) from None
             if tokens[2] == "cyclic":
                 if n not in cyclic:
                     cyclic[n] = make_cyclic(n)

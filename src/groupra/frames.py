@@ -84,12 +84,13 @@ class Frame:
     Construction is the one check of what frame data mean, for builders,
     callers and parse_frame alike: blocks partition the declared indices,
     exactly one record per in-block pair x < y, and each stored record is a
-    genuine quotient isomorphism.  For a record, one enumerate_cosets per
-    subgroup proves H and K normal and gives the canonical lists that H's
-    list must equal and K's must reorder; the homomorphism is then read
-    straight off the paired lists by homomorphism_defect, with no quotient
-    group built.  The InvalidFrameError for a faulty record names it in
-    ``pair``, and gives ``witness`` when the pairing is not homomorphic.
+    genuine quotient isomorphism.  For a record, enumerate_cosets proves H
+    and K normal (or returns the system its group already keeps) and gives
+    the canonical lists that H's list must equal and K's must reorder; the
+    homomorphism is then read straight off the paired lists by
+    homomorphism_defect, with no quotient group built.  The
+    InvalidFrameError for a faulty record names it in ``pair``, and gives
+    ``witness`` when the pairing is not homomorphic.
     Whether the records fit together as a frame is a separate question,
     answered by check_frame_full / check_frame_reduced.  ``groups`` and
     ``isos`` are read-only mappings, so the verdict a check caches on the
@@ -270,24 +271,6 @@ def _times_normal(a: Mask, b: CosetSystem) -> Mask:
     return out
 
 
-def _product_cosets(a: CosetSystem, b: CosetSystem) -> CosetSystem:
-    """Canonical cosets of A*B for normal A and B, from their coset lists.
-
-    Each coset uA*B is _times_normal(uA, B); no subgroup or normality proof
-    is needed.
-    """
-    out: list[Mask] = []
-    covered = 0
-    for ac in a.cosets:
-        if ac & covered:
-            continue
-        coset = _times_normal(ac, b)
-        out.append(coset)
-        covered |= coset
-    out.sort(key=lambda c: c & -c)
-    return _system(out)
-
-
 def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
     """phi of each coset of a coarse subgroup that contains H.
 
@@ -312,7 +295,7 @@ def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
     ryx = frame.resolve_iso(y, x)
     ryz = frame.resolve_iso(y, z)
     # P0 contains K_xy and H_yz, so each of its cosets has both images
-    p = _product_cosets(ryx.h, ryz.h)
+    p = enumerate_cosets(frame.groups[y], _times_normal(ryx.h.subgroup, ryz.h))
     m = _system(_coarse_images(ryx, p))
     n = _system(_coarse_images(ryz, p))
     return InducedIso(x, y, z, m, p, n)

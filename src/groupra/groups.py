@@ -26,6 +26,7 @@ __all__ = [
     "full_mask",
     "FiniteGroup",
     "MAX_GROUP_ORDER",
+    "check_group_order",
     "make_cyclic",
     "validate_table",
     "subgroup_defect",
@@ -93,11 +94,13 @@ class FiniteGroup:
     op: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     label: str = field(default="G", compare=False)
+    _cosets: dict[Mask, CosetSystem] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = self.order
-        if n <= 0:
-            raise GroupTableError(f"group order must be positive, got {n}")
+        check_group_order(n)
         if len(self.op) != n or any(len(row) != n for row in self.op):
             raise GroupTableError(f"operation table is not {n}x{n}")
         if len(self.inverse) != n:
@@ -127,12 +130,17 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def make_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
-    """The cyclic group Z_n with addition mod n."""
+def check_group_order(n: int) -> None:
+    """Refuse a group order that is not positive or exceeds MAX_GROUP_ORDER."""
     if n <= 0:
-        raise GroupTableError(f"cyclic group order must be positive, got {n}")
+        raise GroupTableError(f"group order must be positive, got {n}")
     if n > MAX_GROUP_ORDER:
         raise GroupTableError(f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}")
+
+
+def make_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
+    """The cyclic group Z_n with addition mod n."""
+    check_group_order(n)
     op = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     inverse = tuple((-a) % n for a in range(n))
     return FiniteGroup(n, op, inverse, label or f"Z{n}")
@@ -211,8 +219,7 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
     n = len(table)
     if n == 0:
         raise GroupTableError("empty operation table")
-    if n > MAX_GROUP_ORDER:
-        raise GroupTableError(f"group order {n} exceeds the cap of {MAX_GROUP_ORDER}")
+    check_group_order(n)
     rows = [list(r) for r in table]
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -368,7 +375,15 @@ def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
     is in h for every generator s of g and t of h, since the s that
     conjugate h into (so onto) itself form a subgroup.  The cosets are the
     left translates of h.
+
+    g keeps each system this builds in a private dict keyed by h, which
+    lives and dies with g: a repeated call returns the same object, so every
+    layer that asks about h shares it.  A subset that is not a normal
+    subgroup is not kept; each call proves it again and raises the same error.
     """
+    hit = g._cosets.get(h)
+    if hit is not None:
+        return hit
     gens, defect = _subgroup_generators(g, h)
     if gens is None:
         raise NotASubgroupError(f"{elements(h)} is not a subgroup of {g.label}: {defect}")
@@ -384,7 +399,8 @@ def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
             rest.append(coset)
             seen |= coset
     # ascending least element == discovery order, since we scan elements in order
-    return CosetSystem(h, (h, *rest))
+    system = g._cosets[h] = CosetSystem(h, (h, *rest))
+    return system
 
 
 def complex_product(g: FiniteGroup, a: Mask, b: Mask) -> Mask:

@@ -257,6 +257,13 @@ def test_atom_relations_partition_unit():
     assert total == union.count() == 15 * 15
 
 
+def test_atom_size_is_the_order_of_its_source_times_its_kernel(corpus_algebras):
+    for alg in corpus_algebras:
+        for a in alg.atoms():
+            kernel = alg.frame.resolve_iso(a.x, a.y).k.subgroup.bit_count()
+            assert alg.frame.groups[a.x].order * kernel == alg.atom_relation(a).count(), a
+
+
 def atom_pairs_by_definition(alg: GroupRelationAlgebra, a: AtomIndex) -> set:
     """{(offx+p, offy+k*s) : p in H_i, k in K_i, s in K_alpha}, element by element."""
     record = alg.frame.resolve_iso(a.x, a.y)

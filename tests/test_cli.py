@@ -123,6 +123,29 @@ def test_atoms_cosets(capsys, z6z9_file):
     assert lines[7] == "7 ((0,1),1) 18 coset={1,4} image={1,4,7}"
 
 
+@pytest.mark.parametrize("name", ["z6z9", "d4q8d4"])
+def test_atoms_reads_sizes_off_the_records(capsys, monkeypatch, name):
+    path = str(Path(__file__).resolve().parent.parent / "frames" / f"{name}.frame")
+    frame = parse_frame(Path(path).read_text())
+    assert frame.validate().ok
+    alg = GroupRelationAlgebra(frame)
+    listing = "".join(
+        f"{i} {atom.label()} {alg.atom_relation(atom).count()}\n"
+        for i, atom in enumerate(alg.atoms())
+    )
+    code, with_cosets, _ = run_cli(capsys, "atoms", path, "--cosets")
+    assert code == 0
+
+    def refuse(self, atom):
+        raise AssertionError(f"atom {atom.label()} materialized")
+
+    monkeypatch.setattr(GroupRelationAlgebra, "atom_relation", refuse)
+    assert run_cli(capsys, "atoms", path) == (0, listing, "")
+    assert run_cli(capsys, "atoms", path, "--cosets") == (0, with_cosets, "")
+    for plain, extended in zip(listing.splitlines(), with_cosets.splitlines(), strict=True):
+        assert extended.startswith(plain + " coset=")
+
+
 def test_atoms_pairs(capsys, z6z9_file):
     code, out, _ = run_cli(capsys, "atoms", z6z9_file, "--pairs")
     assert code == 0

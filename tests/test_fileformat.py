@@ -10,7 +10,7 @@ from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
 from groupra.errors import FrameFormatError
 from groupra.fileformat import emit_frame, parse_frame
 from groupra.frames import Frame
-from groupra.groups import MAX_GROUP_ORDER, make_cyclic, validate_table
+from groupra.groups import MAX_GROUP_ORDER, enumerate_cosets, make_cyclic, mask_of, validate_table
 
 KLEIN = [
     [0, 1, 2, 3],
@@ -562,6 +562,42 @@ def test_parse_checks_each_record_once(monkeypatch):
         "enumerate_cosets": 4 * records,
         "validate_table": 1,
     }
+
+
+def test_parse_proves_each_subgroup_once_per_group(monkeypatch):
+    import groupra.groups
+
+    frame = merge_frames(
+        [
+            build_cyclic_frame([6, 9], {(0, 1): 3}),
+            build_power_frame(validate_table(KLEIN, label="V4"), 0b11, ["a", "b", "c"]),
+        ]
+    )
+    text = emit_frame(frame)
+    proofs = []
+    real = groupra.groups._subgroup_generators
+    monkeypatch.setattr(
+        groupra.groups,
+        "_subgroup_generators",
+        lambda g, h: proofs.append((g.label, h)) or real(g, h),
+    )
+    assert parse_frame(text) == frame
+    # H of (0,1) in Z6, K in Z9, and {0,1} in each of the three Klein copies,
+    # where Tb holds both the K of (a,b) and the H of (b,c)
+    assert sorted(proofs) == [
+        ("Ta", 0b11),
+        ("Tb", 0b11),
+        ("Tc", 0b11),
+        ("Z6", mask_of([0, 3])),
+        ("Z9", mask_of([0, 3, 6])),
+    ]
+
+
+def test_reader_and_frame_share_one_system_per_subgroup():
+    for text in SHIPPED_TEXTS:
+        frame = parse_frame(text)
+        for (x, _), record in frame.isos.items():
+            assert record.h is enumerate_cosets(frame.groups[x], record.h.subgroup)
 
 
 def count_validate_table(monkeypatch) -> list:

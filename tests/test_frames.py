@@ -1,11 +1,15 @@
 """Tests for frame records, derived isomorphisms, and the condition checkers."""
 
+import dataclasses
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from groupra.builders import build_cyclic_frame, cyclic_iso_record
 from groupra.errors import InvalidFrameError, NotRelatedError
+from groupra.fileformat import parse_frame
 from groupra.frames import (
     Frame,
     IsoRecord,
@@ -444,3 +448,23 @@ def test_coset_list_product_matches_the_elementwise_product():
                 checked += 1
     # subgroups x normal subgroups: S3 6x3, D4 10x6, Q8 6x6, A4 10x3, Z12 6x6
     assert checked == 18 + 60 + 36 + 30 + 36
+
+
+def test_induced_p0_is_the_canonical_system_of_the_product(corpus):
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    triples = 0
+    for frame in [*corpus, *shipped]:
+        for block in frame.blocks:
+            for x, y, z in product(block, repeat=3):
+                gy = frame.groups[y]
+                p0 = complex_product(
+                    gy, frame.resolve_iso(x, y).k.subgroup, frame.resolve_iso(y, z).h.subgroup
+                )
+                # a fresh copy of G_y keeps no systems, so this one is built anew
+                expected = enumerate_cosets(dataclasses.replace(gy), p0)
+                assert induced_iso(frame, x, y, z).p == expected, (x, y, z)
+                triples += 1
+    assert triples > 0

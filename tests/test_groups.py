@@ -20,6 +20,7 @@ from groupra.groups import (
     CosetSystem,
     FiniteGroup,
     IsoCheck,
+    check_group_order,
     check_quotient_iso,
     complex_inverse,
     complex_product,
@@ -85,6 +86,21 @@ def test_make_cyclic():
 def test_make_cyclic_rejects_nonpositive():
     with pytest.raises(ValueError):
         make_cyclic(0)
+
+
+def test_one_group_order_check_serves_every_builder():
+    for n in (1, MAX_GROUP_ORDER):
+        check_group_order(n)
+    for n, message in (
+        (0, "group order must be positive, got 0"),
+        (-3, "group order must be positive, got -3"),
+        (MAX_GROUP_ORDER + 1, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
+    ):
+        with pytest.raises(GroupTableError, match=message):
+            check_group_order(n)
+    with pytest.raises(GroupTableError) as cyclic:
+        make_cyclic(0)
+    assert str(cyclic.value) == "group order must be positive, got 0"
 
 
 def test_group_orders_are_capped():
@@ -202,6 +218,49 @@ def test_enumerate_cosets_trivial_subgroup():
 def test_enumerate_cosets_requires_normal():
     with pytest.raises(NotNormalError):
         enumerate_cosets(s3(), mask_of([0, 1]))
+
+
+def test_enumerate_cosets_keeps_each_system_on_its_group(monkeypatch):
+    import groupra.groups
+
+    proofs = []
+    real = groupra.groups._subgroup_generators
+    monkeypatch.setattr(
+        groupra.groups,
+        "_subgroup_generators",
+        lambda g, h: proofs.append(h) or real(g, h),
+    )
+    z6 = make_cyclic(6)
+    first = enumerate_cosets(z6, mask_of([0, 3]))
+    assert enumerate_cosets(z6, mask_of([0, 3])) is first
+    assert is_normal(z6, mask_of([0, 3]))
+    assert quotient_group(z6, mask_of([0, 3])).order == 3
+    assert len(proofs) == 1
+    # an equal group built apart keeps its own systems
+    assert enumerate_cosets(make_cyclic(6), mask_of([0, 3])) == first
+    assert len(proofs) == 2
+
+
+def test_enumerate_cosets_proves_a_refused_subset_on_every_call(monkeypatch):
+    import groupra.groups
+
+    proofs = []
+    real = groupra.groups._subgroup_generators
+    monkeypatch.setattr(
+        groupra.groups,
+        "_subgroup_generators",
+        lambda g, h: proofs.append(h) or real(g, h),
+    )
+    g = s3()
+    refused = {mask_of([0, 1]): NotNormalError, mask_of([0, 1, 3]): NotASubgroupError}
+    for subset, error in refused.items():
+        texts = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                enumerate_cosets(g, subset)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1], texts
+    assert len(proofs) == 4
 
 
 def test_coset_system_lookup():
