@@ -9,16 +9,18 @@ is what the relation oracle then cross-checks.
 Composition is read off the isomorphism that frames.induced_iso induces for
 a related triple (x,y,z): condition (iv) holds exactly when it makes every
 composition of two atoms a union of atoms, so one lookup rule per triple,
-built on first use, answers every atom pair of that triple.
+built on first use, answers every atom pair of that triple.  Elements
+compose one triple at a time: their atoms are grouped by pair, and each
+triple both operands reach reads all its atom pairs off its rule at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from .frames import Frame, check_frame_reduced, induced_iso
+from .frames import Frame, IsoRecord, check_frame_reduced, induced_iso
 from .groups import (
     complex_product,
     elements,
@@ -32,6 +34,7 @@ from .relations import ConcreteRelation, identity_on
 __all__ = [
     "AtomIndex",
     "BaseSpace",
+    "atom_relation_of",
     "FrameElement",
     "MeasureEntry",
     "MeasureReport",
@@ -46,6 +49,12 @@ class AtomIndex(NamedTuple):
 
     def label(self) -> str:
         return f"(({self.x},{self.y}),{self.alpha})"
+
+
+_NO_ATOMS: frozenset[AtomIndex] = frozenset()
+
+# atoms_at, k_rows, h_reps of one related triple; see GroupRelationAlgebra._rule
+_Rule = tuple[list[frozenset[AtomIndex]], list[tuple[int, ...]], tuple[int, ...]]
 
 
 class BaseSpace:
@@ -65,6 +74,28 @@ class BaseSpace:
     def span(self, x: str, order: int) -> int:
         """Bitmask of the ids belonging to group x."""
         return ((1 << order) - 1) << self.offsets[x]
+
+
+def atom_relation_of(
+    frame: Frame, record: IsoRecord, alpha: int, base: BaseSpace
+) -> ConcreteRelation:
+    """The pairs of the atom ((x,y),alpha) of record, on base's global ids.
+
+    The atom is the union over i of H_i x (K_i * K_alpha).  K is normal, so
+    K_i * K_alpha is the one K-coset holding k_i*k_alpha, read off the coset
+    lookup; each row of H_i gets that coset as its column mask, shifted to
+    G_y's ids.  Nothing is kept: callers that ask again cache the result.
+    """
+    k = record.k
+    op = frame.groups[record.y].op
+    offx, offy = base.offsets[record.x], base.offsets[record.y]
+    shift = k.reps[alpha]
+    rows = [0] * base.size
+    for hc, rep in zip(record.h.cosets, k.reps):
+        cols = k.cosets[k.coset_of(op[rep][shift])] << offy
+        for p in iter_bits(hc):
+            rows[offx + p] = cols
+    return ConcreteRelation(base.size, tuple(rows))
 
 
 class FrameElement:
@@ -157,7 +188,7 @@ class GroupRelationAlgebra:
                     atoms.extend(AtomIndex(x, y, a) for a in range(kappa))
         self._atoms = tuple(atoms)
         self.all_atoms = frozenset(atoms)
-        self._rules: dict[tuple[str, str, str], Callable[[int, int], frozenset[AtomIndex]]] = {}
+        self._rules: dict[tuple[str, str, str], _Rule] = {}
         self._relation_cache: dict[AtomIndex, ConcreteRelation] = {}
 
     # -- atom bookkeeping ------------------------------------------------
@@ -203,20 +234,24 @@ class GroupRelationAlgebra:
 
     def _compose(self, a: AtomIndex, b: AtomIndex) -> frozenset[AtomIndex]:
         if a.y != b.x:
-            return frozenset()
-        key = (a.x, a.y, b.y)
-        rule = self._rules.get(key)
+            return _NO_ATOMS
+        rule = self._rules.get((a.x, a.y, b.y))
         if rule is None:
-            rule = self._rules[key] = self._rule(*key)
-        return rule(a.alpha, b.alpha)
+            rule = self._rule(a.x, a.y, b.y)
+        atoms_at, k_rows, h_reps = rule
+        return atoms_at[k_rows[a.alpha][h_reps[b.alpha]]]
 
-    def _rule(self, x: str, y: str, z: str) -> Callable[[int, int], frozenset[AtomIndex]]:
-        """How the atoms of (x,y) compose with the atoms of (y,z).
+    def _rule(self, x: str, y: str, z: str) -> _Rule:
+        """Build and keep the rule of the related triple (x,y,z).
 
         K_alpha*H_beta is the P0-coset of k*h for any k in K_alpha and h in
         H_beta, because K_xy is normal; the least coset elements serve as k
         and h.  The composite holds the (x,z) atoms whose H_xz-cosets lie in
         the M0-coset that the induced isomorphism pairs with that P0-coset.
+        So the rule is three tables: atoms_at, the composite for each
+        element of G_y (one frozenset shared by a whole P0-coset); k_rows,
+        the row of G_y's table for each k; and h_reps, each h.  The answer
+        for (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
         """
         frame = self.frame
         ind = induced_iso(frame, x, y, z)
@@ -227,8 +262,8 @@ class GroupRelationAlgebra:
             for e in iter_bits(pc):
                 atoms_at[e] = inside
         k_rows = [frame.groups[y].op[r] for r in frame.resolve_iso(x, y).k.reps]
-        h_reps = frame.resolve_iso(y, z).h.reps
-        return lambda alpha, beta: atoms_at[k_rows[alpha][h_reps[beta]]]
+        rule = self._rules[(x, y, z)] = (atoms_at, k_rows, frame.resolve_iso(y, z).h.reps)
+        return rule
 
     def fast_compose_subidentity(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
         """Closed-form composition when a square pair is involved.
@@ -261,39 +296,57 @@ class GroupRelationAlgebra:
         return FrameElement(self, frozenset(self.converse_atom(a) for a in e.atoms))
 
     def compose(self, e1: FrameElement, e2: FrameElement) -> FrameElement:
+        """The union of a;b over the atoms a of e1 and b of e2.
+
+        Read one related triple at a time (see _compose_by_triple); two
+        single atoms, the sweeps' common case, go straight to their rule.
+        """
         e1._require_same(e2)
-        acc: set[AtomIndex] = set()
-        for a in e1.atoms:
-            for b in e2.atoms:
-                if a.y == b.x:
-                    acc |= self._compose(a, b)
-        return FrameElement(self, frozenset(acc))
+        left, right = e1.atoms, e2.atoms
+        if len(left) == 1 == len(right):
+            # the loops only take the one atom of each side
+            for a in left:
+                for b in right:
+                    return FrameElement(self, self._compose(a, b))
+        return FrameElement(self, self._compose_by_triple(left, right))
+
+    def _compose_by_triple(
+        self, left: frozenset[AtomIndex], right: frozenset[AtomIndex]
+    ) -> frozenset[AtomIndex]:
+        """The alphas of left grouped by pair (x,y), the betas of right by
+        middle y, then by z: each triple (x,y,z) that both sides reach
+        fetches its rule once and reads the answers of all its alpha x beta
+        pairs off it in one pass.  Pairs whose middles differ are never
+        formed.
+        """
+        alphas_at: dict[tuple[str, str], list[int]] = {}
+        for x, y, alpha in left:
+            alphas_at.setdefault((x, y), []).append(alpha)
+        betas_at: dict[str, dict[str, list[int]]] = {}
+        for y, z, beta in right:
+            betas_at.setdefault(y, {}).setdefault(z, []).append(beta)
+        rules = self._rules
+        answers: list[frozenset[AtomIndex]] = []
+        for (x, y), alphas in alphas_at.items():
+            for z, betas in betas_at.get(y, {}).items():
+                rule = rules.get((x, y, z))
+                if rule is None:
+                    rule = self._rule(x, y, z)
+                atoms_at, k_rows, h_reps = rule
+                answers += [
+                    atoms_at[k_rows[alpha][h_reps[beta]]] for alpha in alphas for beta in betas
+                ]
+        return frozenset().union(*answers)
 
     # -- materialization -------------------------------------------------
 
     def atom_relation(self, a: AtomIndex) -> ConcreteRelation:
-        """The pairs of atom a on global ids, cached per atom.
-
-        The atom is the union over i of H_i x (K_i * K_alpha); rows are
-        filled per H-coset, each row of H_i getting the one column mask of
-        K_i * K_alpha shifted to G_y's ids.
-        """
+        """The pairs of atom a on global ids (see atom_relation_of), cached per atom."""
         hit = self._relation_cache.get(a)
         if hit is None:
             self._require_atom(a)
-            frame = self.frame
-            record = frame.resolve_iso(a.x, a.y)
-            gy = frame.groups[a.y]
-            offx = self.base.offsets[a.x]
-            offy = self.base.offsets[a.y]
-            shift = record.k.cosets[a.alpha]
-            rows = [0] * self.base.size
-            for hc, kc in zip(record.h.cosets, record.k.cosets):
-                cols = complex_product(gy, kc, shift) << offy
-                for p in iter_bits(hc):
-                    rows[offx + p] = cols
-            hit = ConcreteRelation(self.base.size, tuple(rows))
-            self._relation_cache[a] = hit
+            record = self.frame.resolve_iso(a.x, a.y)
+            hit = self._relation_cache[a] = atom_relation_of(self.frame, record, a.alpha, self.base)
         return hit
 
     def materialize(self, e: FrameElement) -> ConcreteRelation:

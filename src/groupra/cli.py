@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .algebra import AtomIndex, GroupRelationAlgebra
+from .algebra import AtomIndex, GroupRelationAlgebra, atom_relation_of
 from .builders import build_cyclic_frame, build_power_frame, check_power_copies
 from .errors import FrameBuildError, FrameFormatError, NotRelatedError
 from .fileformat import _content_lines, _int, _read_text, emit_frame, parse_frame
@@ -80,7 +80,8 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
             )
         print(line)
         if args.pairs:
-            for a, b in alg.atom_relation(atom).pairs():
+            # each relation is printed once, so none is kept
+            for a, b in atom_relation_of(alg.frame, record, atom.alpha, alg.base).pairs():
                 print(f"{a} {b}")
     return 0
 

@@ -279,12 +279,17 @@ def atom_pairs_by_definition(alg: GroupRelationAlgebra, a: AtomIndex) -> set:
     }
 
 
-def materialization_frames() -> list[Frame]:
+def shipped_frames() -> list[Frame]:
     frames = []
     for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame")):
         frame = parse_frame(path.read_text())
         assert check_frame_reduced(frame).ok, path.name
         frames.append(frame)
+    return frames
+
+
+def materialization_frames() -> list[Frame]:
+    frames = shipped_frames()
     for label in ("S3", "D4", "Q8", "A4"):
         g = perm_group(label, *PERM_GENERATORS[label])
         subgroups = {closure(g, p, q) for p in g.elements() for q in g.elements()}
@@ -303,6 +308,19 @@ def test_atom_relations_match_their_definition():
         for a in alg.atoms():
             expected = ConcreteRelation.from_pairs(alg.base.size, atom_pairs_by_definition(alg, a))
             assert alg.atom_relation(a) == expected, a
+
+
+def test_atom_relations_read_their_columns_off_the_coset_lookup(monkeypatch):
+    import groupra.algebra
+
+    def refuse(*args):
+        raise AssertionError("atom_relation called complex_product")
+
+    monkeypatch.setattr(groupra.algebra, "complex_product", refuse)
+    for frame in materialization_frames():
+        alg = GroupRelationAlgebra(frame)
+        for a in alg.atoms():
+            alg.atom_relation(a)
 
 
 def test_materialize_unions_atoms():
@@ -362,6 +380,86 @@ def test_frame_mismatch_rejected():
         e1.union(e2)
     with pytest.raises(FrameMismatchError):
         e1.compose(e2)
+
+
+def union_of_atom_compositions(alg: GroupRelationAlgebra, e1, e2) -> frozenset:
+    """e1;e2 by definition: the union of a;b over every atom pair."""
+    out = frozenset()
+    for a in e1.atoms:
+        for b in e2.atoms:
+            out |= alg.compose_atoms(a, b).atoms
+    return out
+
+
+def s4_cubed_along_v4() -> Frame:
+    s4 = perm_group("S4", (1, 2, 3, 0), (1, 0, 2, 3))
+    subgroups = {closure(s4, p, q) for p in s4.elements() for q in s4.elements()}
+    (v4,) = [n for n in subgroups if n.bit_count() == 4 and is_normal(s4, n)]
+    return build_power_frame(s4, v4, ["0", "1", "2"])
+
+
+def composition_frames() -> list[Frame]:
+    z60 = build_cyclic_frame([60] * 4, {(i, j): 12 for i in range(4) for j in range(i + 1, 4)})
+    return shipped_frames() + [z60, s4_cubed_along_v4()]
+
+
+def test_element_composition_is_the_union_of_its_atom_compositions():
+    rng = random.Random(20261018)
+    for frame in composition_frames():
+        alg = GroupRelationAlgebra(frame)
+        atoms = alg.atoms()
+        by_pair: dict = {}
+        for a in atoms:
+            by_pair.setdefault((a.x, a.y), []).append(a)
+        # one atom from every pair: spread over all pairs and, where there
+        # are several, over all blocks
+        spread = alg.element(rng.choice(pair) for pair in by_pair.values())
+        samples = [alg.zero(), alg.unit(), alg.identity_element(), spread]
+        samples += [alg.element([a]) for a in rng.sample(atoms, min(6, len(atoms)))]
+        samples += [
+            alg.element(rng.sample(atoms, rng.randint(2, min(24, len(atoms))))) for _ in range(6)
+        ]
+        for block in frame.blocks:
+            inside = [a for a in atoms if a.x in block]
+            samples.append(alg.element(rng.sample(inside, min(5, len(inside)))))
+        for e1 in samples:
+            for e2 in samples:
+                assert alg.compose(e1, e2).atoms == union_of_atom_compositions(alg, e1, e2), (
+                    frame.order,
+                    e1,
+                    e2,
+                )
+
+
+def test_element_composition_builds_only_the_rules_it_reads():
+    alg = GroupRelationAlgebra(composition_frames()[-1])
+    atoms = alg.atoms()
+    rng = random.Random(5)
+    e1 = alg.element(rng.sample(atoms, 12))
+    e2 = alg.element(rng.sample(atoms, 12))
+    alg.compose(e1, e2)
+    reached = {(a.x, a.y, b.y) for a in e1.atoms for b in e2.atoms if a.y == b.x}
+    assert set(alg._rules) == reached
+
+
+def test_cross_frame_composition_is_refused_before_any_rule_is_built(monkeypatch):
+    import groupra.algebra
+
+    def refuse(*args):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(groupra.algebra, "induced_iso", refuse)
+    mine, other = fresh_running_algebra(), fresh_running_algebra()
+    for e1, e2 in [
+        (mine.element([AtomIndex("0", "1", 0)]), other.element([AtomIndex("1", "0", 0)])),
+        (mine.unit(), other.unit()),
+        (mine.zero(), other.unit()),
+    ]:
+        with pytest.raises(FrameMismatchError):
+            mine.compose(e1, e2)
+        with pytest.raises(FrameMismatchError):
+            e2.compose(e1)
+    assert mine._rules == {} and other._rules == {}
 
 
 def test_measure_report_running():

@@ -156,6 +156,26 @@ def test_atoms_pairs(capsys, z6z9_file):
     assert lines[at + 2] == "0 9"
 
 
+@pytest.mark.parametrize("name", ["z6z9", "d4q8d4"])
+def test_atoms_pairs_keeps_no_relation(capsys, monkeypatch, name):
+    import groupra.cli
+
+    path = str(Path(__file__).resolve().parent.parent / "frames" / f"{name}.frame")
+    frame = parse_frame(Path(path).read_text())
+    assert frame.validate().ok
+    alg = GroupRelationAlgebra(frame)
+    expected = ""
+    for i, atom in enumerate(alg.atoms()):
+        rel = alg.atom_relation(atom)
+        expected += f"{i} {atom.label()} {rel.count()}\n"
+        expected += "".join(f"{a} {b}\n" for a, b in rel.pairs())
+    built = []
+    real = groupra.cli._load_algebra
+    monkeypatch.setattr(groupra.cli, "_load_algebra", lambda p: built.append(real(p)) or built[-1])
+    assert run_cli(capsys, "atoms", path, "--pairs") == (0, expected, "")
+    assert len(built) == 1 and built[0]._relation_cache == {}
+
+
 def test_op_conv(capsys, z6z9_file):
     code, out, _ = run_cli(capsys, "op", z6z9_file, "conv", "0", "1", "1")
     assert code == 0
