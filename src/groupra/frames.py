@@ -17,6 +17,13 @@ The frame checks read conditions (iii) and (iv) of each related triple off
 one induced isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 (induced_iso): the image
 equation says M0 = H_xy*H_xz and N0 = K_xz*K_yz, and (iv) says that phi_xz
 maps each M0-coset onto the matching N0-coset.
+
+Every image of a coarse coset (a coset of P0, or of M0 for the direct
+phi_xz route) is read in one pass over a record's paired lists
+(_coarse_images): each H-coset lies inside the coarse coset of its least
+element, so its K-coset joins that coarse coset's image.  The coarse
+systems are the canonical ones the groups keep (enumerate_cosets), so
+their element-to-coset tables are built once per group and subgroup.
 """
 
 from __future__ import annotations
@@ -265,29 +272,25 @@ def _times_normal(a: Mask, b: CosetSystem) -> Mask:
     """
     out = 0
     rest = a
+    cosets, where = b.cosets, b._where
     while rest:
-        out |= b.cosets[b.coset_of((rest & -rest).bit_length() - 1)]
+        out |= cosets[where[(rest & -rest).bit_length() - 1]]
         rest &= ~out
     return out
 
 
 def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
-    """phi of each coset of a coarse subgroup that contains H.
+    """phi of each coset of a coarse subgroup that contains H, in coarse's order.
 
-    Each coarse coset is a union of H-cosets, so its image is the union of
-    their K-cosets: one lookup in the record's own table per H-coset, and
-    no lookup table is built for the coarse system.
+    Each H-coset lies inside the coarse coset of its least element, so one
+    pass over the record's paired lists adds each K-coset to the image of
+    the coarse coset that holds its H-coset: one read of coarse's lookup
+    table per H-coset.
     """
-    h, k = record.h, record.k
-    out = []
-    for coset in coarse.cosets:
-        image = 0
-        rest = coset
-        while rest:
-            i = h.coset_of((rest & -rest).bit_length() - 1)
-            image |= k.cosets[i]
-            rest &= ~h.cosets[i]
-        out.append(image)
+    out = [0] * coarse.count
+    where = coarse._where
+    for r, kc in zip(record.h.reps, record.k.cosets):
+        out[where[r]] |= kc
     return out
 
 
@@ -374,7 +377,11 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
     if not is_subset(rxz.h.subgroup, m0):
         found.append(("iv", f"H_xz = {_fmt(rxz.h.subgroup)} is not inside M0 = {_fmt(m0)}"))
     else:
-        direct = _coarse_images(rxz, ind.m)
+        # read in the canonical M0 order, which the group keeps, then put in
+        # ind.m's order by the least element of each coset
+        canonical = enumerate_cosets(frame.groups[x], m0)
+        images, where = _coarse_images(rxz, canonical), canonical._where
+        direct = [images[where[(mc & -mc).bit_length() - 1]] for mc in ind.m.cosets]
         for mc, img, nc in zip(ind.m.cosets, direct, ind.n.cosets):
             if img != nc:
                 shown = f"{_fmt(mc)} is {_fmt(img)}, induced route gives {_fmt(nc)}"

@@ -315,10 +315,13 @@ class CosetSystem:
     any order (canonical systems sort by least element, associated systems
     follow an isomorphism's image order).
 
-    ``reps`` holds the least element of each coset, and ``coset_of`` finds
-    the coset of an element in O(1).  Both are built once per system, on
-    first use, and are the one place every layer reads element-to-coset
-    lookups and representatives from.
+    ``reps`` holds the least element of each coset.  ``_where`` is a list
+    indexed by element: the position of the element's coset, or -1 for an
+    element below the largest one covered that lies in no coset.  Hot loops
+    read it directly; ``coset_of`` is the checked lookup, which refuses any
+    element outside the table, negative ones included.  Both are built once
+    per system, on first use, and are the one place every layer reads
+    element-to-coset lookups and representatives from.
     """
 
     subgroup: Mask
@@ -348,8 +351,14 @@ class CosetSystem:
         return tuple((c & -c).bit_length() - 1 for c in self.cosets)
 
     @cached_property
-    def _where(self) -> dict[int, int]:
-        return {e: i for i, c in enumerate(self.cosets) for e in iter_bits(c)}
+    def _where(self) -> list[int]:
+        where = [-1] * max(c.bit_length() for c in self.cosets)
+        for i, c in enumerate(self.cosets):
+            while c:
+                low = c & -c
+                where[low.bit_length() - 1] = i
+                c ^= low
+        return where
 
     def index_of(self, coset: Mask) -> int:
         """Position of a coset mask in this enumeration."""
@@ -360,10 +369,11 @@ class CosetSystem:
 
     def coset_of(self, e: int) -> int:
         """Index of the coset containing element e."""
-        try:
-            return self._where[e]
-        except KeyError:
-            raise ValueError(f"element {e} lies in no coset of this system") from None
+        where = self._where
+        i = where[e] if 0 <= e < len(where) else -1
+        if i < 0:
+            raise ValueError(f"element {e} lies in no coset of this system")
+        return i
 
 
 def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:

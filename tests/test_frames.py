@@ -2,12 +2,13 @@
 
 import dataclasses
 import random
-from itertools import product
+from hashlib import sha256
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from groupra.builders import build_cyclic_frame, cyclic_iso_record
+from groupra.builders import build_cyclic_frame, build_power_frame, cyclic_iso_record
 from groupra.errors import InvalidFrameError, NotRelatedError
 from groupra.fileformat import parse_frame
 from groupra.frames import (
@@ -30,6 +31,7 @@ from groupra.groups import (
 )
 
 from tests.helpers import corrupt_kappa, corrupt_map
+from tests.test_algebra import centre, dihedral_square, quaternion_units
 from tests.test_groups import PERM_GENERATORS, closure, perm_group
 
 Z6 = make_cyclic(6)
@@ -468,3 +470,67 @@ def test_induced_p0_is_the_canonical_system_of_the_product(corpus):
                 assert induced_iso(frame, x, y, z).p == expected, (x, y, z)
                 triples += 1
     assert triples > 0
+
+
+def power_frames_of_small_groups() -> list[Frame]:
+    """Three copies of S3, D4, Q8 and A4, glued along every normal subgroup."""
+    frames = []
+    for label in ("S3", "D4", "Q8", "A4"):
+        g = perm_group(label, *PERM_GENERATORS[label])
+        subgroups = {closure(g, a, b) for a in g.elements() for b in g.elements()}
+        for n in sorted(n for n in subgroups if is_normal(g, n)):
+            frames.append(build_power_frame(g, n, ["0", "1", "2"]))
+    return frames
+
+
+def test_coarse_images_match_the_images_element_by_element(corpus):
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    powers = power_frames_of_small_groups()
+    # S3 3, D4 6, Q8 6, A4 3 normal subgroups
+    assert len(powers) == 18
+    triples = 0
+    for frame in [*corpus, *shipped, *powers]:
+        for block in frame.blocks:
+            # every order, x = y and y = z and descending triples included
+            for x, y, z in product(block, repeat=3):
+                ind = induced_iso(frame, x, y, z)
+                ryx, ryz = frame.resolve_iso(y, x), frame.resolve_iso(y, z)
+                assert ind.p.count == ind.m.count == ind.n.count, (x, y, z)
+                for j, pc in enumerate(ind.p.cosets):
+                    assert ind.m.cosets[j] == try_image(ryx, pc), (x, y, z, j)
+                    assert ind.n.cosets[j] == try_image(ryz, pc), (x, y, z, j)
+                triples += 1
+    assert triples > 0
+
+
+def _d4_q8_d4_reports() -> tuple[str, str]:
+    groups = {"0": dihedral_square(), "1": quaternion_units(), "2": dihedral_square()}
+    systems = {x: enumerate_cosets(g, centre(g)) for x, g in groups.items()}
+    pairs = [("0", "1"), ("0", "2"), ("1", "2")]
+    reduced, full = [], []
+    for maps in product(permutations((1, 2, 3)), repeat=3):
+        isos = {}
+        for (x, y), order in zip(pairs, maps):
+            k = systems[y]
+            image = CosetSystem(k.subgroup, (k.subgroup, *(k.cosets[i] for i in order)))
+            isos[(x, y)] = IsoRecord(x, y, systems[x], image)
+        frame = Frame(groups, [["0", "1", "2"]], isos)
+        reduced += check_frame_reduced(frame).lines()
+        full += check_frame_full(frame).lines()
+    return "\n".join(reduced), "\n".join(full)
+
+
+def test_d4_q8_d4_reports_are_pinned_on_every_map_choice():
+    reduced, full = _d4_q8_d4_reports()
+    assert reduced.count("frame check (reduced)") == full.count("frame check (full)") == 216
+    assert (len(reduced.splitlines()), len(full.splitlines())) == (648, 2808)
+    # any change to which violations are found, their order or their text moves these
+    assert sha256(reduced.encode()).hexdigest() == (
+        "e339d08ab9b3d34295a98d441667f074f700b59daaf627ea8e228a0ff9067124"
+    )
+    assert sha256(full.encode()).hexdigest() == (
+        "fb28b018d082964565e80894651ace29a49f532728cfdf55498689cf483b7db6"
+    )

@@ -814,3 +814,14 @@ def test_enumerating_normal_cosets_never_runs_the_pair_scan(monkeypatch):
     # the scan does run, to name the witness, on a subset that is no subgroup
     assert subgroup_defect(make_cyclic(6), mask_of([0, 1, 5])) is not None
     assert len(scans) == 1
+
+
+def test_coset_of_refuses_elements_outside_the_table():
+    z6 = make_cyclic(6)
+    system = enumerate_cosets(z6, mask_of([0, 3]))
+    # a partial system: the cosets {0,3} and {1,4} of Z6, without {2,5}
+    partial = CosetSystem(mask_of([0, 3]), (mask_of([0, 3]), mask_of([1, 4])))
+    for table, e in [(system, -1), (system, 6), (partial, 2), (partial, 5), (partial, -1)]:
+        with pytest.raises(ValueError, match=f"^element {e} lies in no coset of this system$"):
+            table.coset_of(e)
+    assert [partial.coset_of(e) for e in (0, 1, 3, 4)] == [0, 1, 0, 1]

@@ -136,3 +136,20 @@ def test_no_sweep_reports_more_than_ten_failures(monkeypatch):
     bad = corrupt_kappa(random.Random(3))
     assert len(list(check_image_equations.__wrapped__(bad))) == 12
     assert check_image_equations(bad) == list(check_image_equations.__wrapped__(bad))[:10]
+
+
+def test_involution_builds_one_converse_element_per_atom(monkeypatch):
+    frame = build_cyclic_frame([24, 24, 24], {(0, 1): 12, (0, 2): 12, (1, 2): 12})
+    check_frame_full(frame)
+    alg = GroupRelationAlgebra(frame)
+    assert len(alg.atoms()) == 144
+    calls = []
+    real = alg.element
+
+    def counting(atoms):
+        calls.append(None)
+        return real(atoms)
+
+    monkeypatch.setattr(alg, "element", counting)
+    assert check_involution(alg) == []
+    assert len(calls) <= 2 * len(alg.atoms())
