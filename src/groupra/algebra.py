@@ -180,12 +180,7 @@ class GroupRelationAlgebra:
             raise InvalidFrameError("frame failed its check; no algebra exists for it")
         self.frame = frame
         self.base = BaseSpace(frame)
-        atoms: list[AtomIndex] = []
-        for x in frame.order:
-            for y in frame.order:
-                if frame.related(x, y):
-                    kappa = frame.resolve_iso(x, y).kappa
-                    atoms.extend(AtomIndex(x, y, a) for a in range(kappa))
+        atoms = [AtomIndex(x, y, a) for (x, y), r in frame.records.items() for a in range(r.kappa)]
         self._atoms = tuple(atoms)
         self.all_atoms = frozenset(atoms)
         self._rules: dict[tuple[str, str, str], _Rule] = {}

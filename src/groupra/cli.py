@@ -20,15 +20,11 @@ from .builders import build_cyclic_frame, build_power_frame, check_power_copies
 from .errors import FrameBuildError, FrameFormatError, NotRelatedError
 from .fileformat import _content_lines, _int, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
-from .groups import elements, mask_of, validate_table
+from .groups import _fmt_mask, mask_of, validate_table
 from .relations import rel_compose, rel_converse
 from .verification import verify_algebra
 
 __all__ = ["main", "run"]
-
-
-def _fmt_mask(mask: int) -> str:
-    return "{" + ",".join(map(str, elements(mask))) + "}"
 
 
 def _load_frame(path: str) -> Frame:
@@ -122,10 +118,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     atoms = alg.atoms()
     print("cols: " + " ".join(a.label() for a in atoms))
     for a in atoms:
-        cells = []
-        for b in atoms:
-            result = alg.compose_atoms(a, b)
-            cells.append("{" + ",".join(t.label() for t in result.sorted_atoms()) + "}")
+        cells = [repr(alg.compose_atoms(a, b)) for b in atoms]
         conv = alg.converse_atom(a)
         print(f"{a.label()} conv {conv.label()} : " + " ".join(cells))
     return 0

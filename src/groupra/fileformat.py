@@ -319,8 +319,9 @@ def emit_frame(frame: Frame) -> str:
             lines.extend(" ".join(map(str, row)) for row in g.op)
     for block in frame.blocks:
         lines.append("block " + " ".join(block))
-    for x, y in sorted(frame.isos, key=lambda p: (frame.pos[p[0]], frame.pos[p[1]])):
-        record = frame.isos[(x, y)]
+    for (x, y), record in frame.records.items():
+        if (x, y) not in frame.isos:
+            continue
         lines.append(f"iso {x} {y}")
         lines.append("H " + " ".join(map(str, elements(record.h.subgroup))))
         lines.append("K " + " ".join(map(str, elements(record.k.subgroup))))

@@ -4,7 +4,7 @@ A frame declares groups G_x for indices x (in a fixed declaration order),
 an equivalence on the indices given as blocks, and for every in-block pair
 x < y one isomorphism phi_xy between quotients G_x/H_xy and G_y/K_xy.  Only
 the x < y records are stored; the x = y and y > x records are forced and
-get derived on demand:
+derived once, at construction:
 
 * phi_xx is the identity automorphism of G_x/{e} (singleton cosets), and
 * phi_yx is the inverse of phi_xy, realized by swapping the two systems.
@@ -38,7 +38,7 @@ from .groups import (
     CosetSystem,
     FiniteGroup,
     Mask,
-    elements,
+    _fmt_mask,
     enumerate_cosets,
     homomorphism_defect,
     is_subset,
@@ -70,10 +70,6 @@ class IsoRecord:
         return self.h.count
 
 
-def _fmt(mask: Mask) -> str:
-    return "{" + ",".join(map(str, elements(mask))) + "}"
-
-
 def try_image(record: IsoRecord, subset: Mask) -> Optional[Mask]:
     """phi[subset] when subset is an exact union of H-cosets, else None."""
     out = 0
@@ -99,9 +95,12 @@ class Frame:
     InvalidFrameError for a faulty record names it in ``pair``, and gives
     ``witness`` when the pairing is not homomorphic.
     Whether the records fit together as a frame is a separate question,
-    answered by check_frame_full / check_frame_reduced.  ``groups`` and
-    ``isos`` are read-only mappings, so the verdict a check caches on the
-    frame (and the composition rules an algebra caches) stay true of it.
+    answered by check_frame_full / check_frame_reduced.  ``records`` holds
+    the record of every related ordered pair, squares and reverses
+    included, in declaration order of x and then of y.  ``groups``,
+    ``isos`` and ``records`` are read-only mappings, so the verdict a check
+    caches on the frame (and the composition rules an algebra caches) stay
+    true of it.
     """
 
     def __init__(
@@ -149,7 +148,18 @@ class Frame:
                     if (x, y) not in self.isos:
                         raise InvalidFrameError(f"missing isomorphism for pair ({x},{y})")
 
-        self._derived: dict[tuple[str, str], IsoRecord] = {}
+        records: dict[tuple[str, str], IsoRecord] = {}
+        for x in self.order:
+            for y in self.blocks[self._block_of[x]]:
+                if x == y:
+                    singles = CosetSystem(1, tuple(1 << e for e in range(self.groups[x].order)))
+                    records[(x, x)] = IsoRecord(x, x, singles, singles)
+                elif (x, y) in self.isos:
+                    records[(x, y)] = self.isos[(x, y)]
+                else:
+                    stored = self.isos[(y, x)]
+                    records[(x, y)] = IsoRecord(x, y, stored.k, stored.h)
+        self.records: Mapping[tuple[str, str], IsoRecord] = MappingProxyType(records)
         self._verdict: Optional[FrameCheckReport] = None
 
     def _validate_record(self, x: str, y: str, record: IsoRecord) -> None:
@@ -190,23 +200,12 @@ class Frame:
         return self._block_of[x]
 
     def resolve_iso(self, x: str, y: str) -> IsoRecord:
-        """The record for any related pair, deriving x = y and y > x forms."""
-        if x not in self.groups or y not in self.groups:
-            raise NotRelatedError(f"unknown group index {x!r} or {y!r}")
-        if not self.related(x, y):
+        """The record for any related pair, looked up in ``records``."""
+        record = self.records.get((x, y))
+        if record is None:
+            if x not in self.groups or y not in self.groups:
+                raise NotRelatedError(f"unknown group index {x!r} or {y!r}")
             raise NotRelatedError(f"indices {x} and {y} lie in different blocks")
-        if (x, y) in self.isos:
-            return self.isos[(x, y)]
-        if (x, y) in self._derived:
-            return self._derived[(x, y)]
-        if x == y:
-            n = self.groups[x].order
-            singles = CosetSystem(1, tuple(1 << e for e in range(n)))
-            record = IsoRecord(x, x, singles, singles)
-        else:
-            stored = self.isos[(y, x)]
-            record = IsoRecord(x, y, stored.k, stored.h)
-        self._derived[(x, y)] = record
         return record
 
     # -- bookkeeping for downstream consumers ----------------------------
@@ -225,9 +224,8 @@ class Frame:
             self.blocks,
             tuple(
                 (x, y, r.h.cosets, r.k.cosets)
-                for (x, y), r in sorted(
-                    self.isos.items(), key=lambda kv: (self.pos[kv[0][0]], self.pos[kv[0][1]])
-                )
+                for (x, y), r in self.records.items()
+                if (x, y) in self.isos
             ),
         )
 
@@ -369,13 +367,15 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
     hh = _times_normal(rxz.h.subgroup, rxy.h)
     if m0 != hh:
         lhs = try_image(rxy, hh)  # only the report needs phi_xy(H_xy*H_xz) itself
-        found.append(("iii", f"image of H_xy*H_xz is {_fmt(lhs)}, expected {_fmt(p0)}"))
+        found.append(("iii", f"image of H_xy*H_xz is {_fmt_mask(lhs)}, expected {_fmt_mask(p0)}"))
     if both:
         kk = _times_normal(rxz.k.subgroup, frame.resolve_iso(y, z).k)
         if n0 != kk:
-            found.append(("iii", f"image of K_xy*H_yz is {_fmt(n0)}, expected {_fmt(kk)}"))
+            shown = f"{_fmt_mask(n0)}, expected {_fmt_mask(kk)}"
+            found.append(("iii", f"image of K_xy*H_yz is {shown}"))
     if not is_subset(rxz.h.subgroup, m0):
-        found.append(("iv", f"H_xz = {_fmt(rxz.h.subgroup)} is not inside M0 = {_fmt(m0)}"))
+        shown = f"{_fmt_mask(rxz.h.subgroup)} is not inside M0 = {_fmt_mask(m0)}"
+        found.append(("iv", f"H_xz = {shown}"))
     else:
         # read in the canonical M0 order, which the group keeps, then put in
         # ind.m's order by the least element of each coset
@@ -384,7 +384,7 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
         direct = [images[where[(mc & -mc).bit_length() - 1]] for mc in ind.m.cosets]
         for mc, img, nc in zip(ind.m.cosets, direct, ind.n.cosets):
             if img != nc:
-                shown = f"{_fmt(mc)} is {_fmt(img)}, induced route gives {_fmt(nc)}"
+                shown = f"{_fmt_mask(mc)} is {_fmt_mask(img)}, induced route gives {_fmt_mask(nc)}"
                 found.append(("iv", f"direct image of {shown}"))
     return [Violation(condition, (x, y, z), detail) for condition, detail in found]
 

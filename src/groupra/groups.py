@@ -64,6 +64,11 @@ def elements(mask: Mask) -> list[int]:
     return list(iter_bits(mask))
 
 
+def _fmt_mask(mask: Mask) -> str:
+    """The display text {a,b,c} of a mask's elements."""
+    return "{" + ",".join(map(str, elements(mask))) + "}"
+
+
 def iter_bits(mask: Mask) -> Iterator[int]:
     """Set bit positions of a mask, ascending, one step per set bit."""
     while mask:
@@ -458,8 +463,7 @@ def quotient_group(g: FiniteGroup, h: Mask) -> FiniteGroup:
     system = enumerate_cosets(g, h)
     op = tuple(tuple(system.coset_of(g.op[ra][rb]) for rb in system.reps) for ra in system.reps)
     inverse = tuple(system.coset_of(g.inverse[r]) for r in system.reps)
-    subgroup_label = "{" + ",".join(map(str, elements(h))) + "}"
-    return FiniteGroup(system.count, op, inverse, f"{g.label}/{subgroup_label}")
+    return FiniteGroup(system.count, op, inverse, f"{g.label}/{_fmt_mask(h)}")
 
 
 def map_defect(mapping: Sequence[int], n: int) -> Optional[str]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.builders import build_complex_algebra_frame, build_cyclic_frame, build_power_frame
 from groupra.errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from groupra.fileformat import parse_frame
+from groupra.fileformat import emit_frame, parse_frame
 from groupra.frames import Frame, IsoRecord, check_frame_full, check_frame_reduced
 from groupra.groups import (
     CosetSystem,
@@ -80,6 +80,34 @@ def test_atom_enumeration_order():
     assert atoms[9:12] == tuple(AtomIndex("1", "0", a) for a in range(3))
     assert atoms[12:] == tuple(AtomIndex("1", "1", a) for a in range(9))
     assert atoms == tuple(sorted(atoms, key=ALG.atom_key))
+
+
+def test_atom_order_on_interleaved_blocks():
+    frame = build_cyclic_frame([4, 6, 8], {(0, 2): 2})
+    assert frame.blocks == (("0", "2"), ("1",))
+    alg = GroupRelationAlgebra(frame)
+    sizes = [("0", "0", 4), ("0", "2", 2), ("1", "1", 6), ("2", "0", 2), ("2", "2", 8)]
+    expected = [AtomIndex(x, y, a) for x, y, kappa in sizes for a in range(kappa)]
+    assert len(expected) == 22
+    assert list(alg.atoms()) == expected
+    text = emit_frame(frame)
+    assert text == (
+        "group 0 cyclic 4\n"
+        "group 1 cyclic 6\n"
+        "group 2 cyclic 8\n"
+        "block 0 2\n"
+        "block 1\n"
+        "iso 0 2\n"
+        "H 0 2\n"
+        "K 0 2 4 6\n"
+        "map 0:0 1:1\n"
+        "end\n"
+    )
+    assert parse_frame(text) == frame
+    # blocks given out of declaration order are read in it
+    reordered = Frame(frame.groups, [["2", "0"], ["1"]], frame.isos)
+    assert check_frame_reduced(reordered).ok
+    assert GroupRelationAlgebra(reordered).atoms() == alg.atoms()
 
 
 def test_atom_label():

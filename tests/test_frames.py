@@ -93,6 +93,39 @@ def test_resolve_stored_and_derived():
     assert frame.resolve_iso("1", "0") is back
 
 
+def test_every_record_is_built_at_construction(monkeypatch):
+    import groupra.frames
+
+    shipped = Path(__file__).resolve().parent.parent / "frames"
+    frames = [parse_frame(path.read_text()) for path in sorted(shipped.glob("*.frame"))]
+    assert len(frames) == 5
+    # a power frame of Z6 glued along {0,3}, in two blocks that interleave
+    frames.append(
+        Frame(
+            dict.fromkeys("abcd", Z6),
+            [["a", "c"], ["b", "d"]],
+            {("a", "c"): IsoRecord("a", "c", H6, H6), ("b", "d"): IsoRecord("b", "d", H6, H6)},
+        )
+    )
+    built = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("IsoRecord", "CosetSystem"):
+        monkeypatch.setattr(groupra.frames, name, counting(getattr(groupra.frames, name)))
+    for frame in frames:
+        pairs = [(x, y) for x in frame.order for y in frame.order if frame.related(x, y)]
+        assert list(frame.records) == pairs
+        for x, y in pairs:
+            assert frame.resolve_iso(x, y) is frame.records[(x, y)]
+    assert built == []
+
+
 def test_resolve_unrelated_and_unknown():
     frame = build_cyclic_frame([2, 3], {})  # no related pairs: two blocks
     with pytest.raises(NotRelatedError, match="different blocks"):
