@@ -188,7 +188,9 @@ def build_cyclic_frame(orders: Sequence[int], kappa: KappaSpec) -> Frame:
                             f"{g1}, {g2}, {g3} but must all agree"
                         )
     ids = [str(i) for i in range(len(orders))]
-    groups = {ids[i]: make_cyclic(n) for i, n in enumerate(orders)}
+    # one group per distinct order, shared by its indices as parse_frame does
+    cyclic = {n: make_cyclic(n) for n in dict.fromkeys(orders)}
+    groups = {ids[i]: cyclic[n] for i, n in enumerate(orders)}
     isos = {
         (ids[i], ids[j]): cyclic_iso_record(ids[i], ids[j], orders[i], orders[j], value)
         for (i, j), value in pairs.items()

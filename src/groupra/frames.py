@@ -13,10 +13,12 @@ The K-side coset list of a record is kept in image order: k.cosets[g] is
 phi applied to h.cosets[g], so the index map of every record is literally
 the identity.
 
-The frame checks read conditions (iii) and (iv) of each related triple off
-one induced isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 (induced_iso): the image
-equation says M0 = H_xy*H_xz and N0 = K_xz*K_yz, and (iv) says that phi_xz
-maps each M0-coset onto the matching N0-coset.
+These two derivations are frame conditions (i) and (ii), so both hold for
+every Frame and the frame checks walk only triples.  They read conditions
+(iii) and (iv) of each related triple off one induced isomorphism
+G_x/M0 -> G_y/P0 -> G_z/N0 (induced_iso): the image equation says
+M0 = H_xy*H_xz and N0 = K_xz*K_yz, and (iv) says that phi_xz maps each
+M0-coset onto the matching N0-coset.
 
 Every image of a coarse coset (a coset of P0, or of M0 for the direct
 phi_xz route) is read in one pass over a record's paired lists
@@ -94,10 +96,12 @@ class Frame:
     homomorphism_defect, with no quotient group built.  The
     InvalidFrameError for a faulty record names it in ``pair``, and gives
     ``witness`` when the pairing is not homomorphic.
-    Whether the records fit together as a frame is a separate question,
-    answered by check_frame_full / check_frame_reduced.  ``records`` holds
-    the record of every related ordered pair, squares and reverses
-    included, in declaration order of x and then of y.  ``groups``,
+    ``records`` holds the record of every related ordered pair, squares and
+    reverses included, in declaration order of x and then of y; the square
+    records are identities and each reverse record inverts the stored one,
+    so conditions (i) and (ii) hold by construction.  Whether the records
+    fit together at each triple, conditions (iii) and (iv), is a separate
+    question, answered by check_frame_full / check_frame_reduced.  ``groups``,
     ``isos`` and ``records`` are read-only mappings, so the verdict a check
     caches on the frame (and the composition rules an algebra caches) stay
     true of it.
@@ -330,27 +334,6 @@ class FrameCheckReport:
         return [head, *map(str, self.violations)]
 
 
-def _check_identity(frame: Frame, x: str) -> list[Violation]:
-    record = frame.resolve_iso(x, x)
-    n = frame.groups[x].order
-    out = []
-    if record.kappa != n:
-        out.append(Violation("i", (x,), f"kappa is {record.kappa}, group order is {n}"))
-    elif record.h.subgroup != 1 or any(c.bit_count() != 1 for c in record.h.cosets):
-        out.append(Violation("i", (x,), "cosets of the square pair are not singletons"))
-    elif record.k.cosets != record.h.cosets:
-        out.append(Violation("i", (x,), "square-pair map is not the identity"))
-    return out
-
-
-def _check_converse(frame: Frame, x: str, y: str) -> list[Violation]:
-    fwd = frame.resolve_iso(x, y)
-    back = frame.resolve_iso(y, x)
-    if back.h.cosets != fwd.k.cosets or back.k.cosets != fwd.h.cosets:
-        return [Violation("ii", (x, y), "reverse record is not the coset-map inverse")]
-    return []
-
-
 def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Violation]:
     """Conditions (iii) and (iv) at one triple, read off its induced isomorphism.
 
@@ -389,14 +372,10 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
     return [Violation(condition, (x, y, z), detail) for condition, detail in found]
 
 
-def _sweep(frame: Frame, mode: str, tuples: Callable, both: bool) -> FrameCheckReport:
+def _sweep(frame: Frame, mode: str, triples: Callable, both: bool) -> FrameCheckReport:
     violations: list[Violation] = []
     for block in frame.blocks:
-        for x in block:
-            violations += _check_identity(frame, x)
-        for x, y in tuples(block, 2):
-            violations += _check_converse(frame, x, y)
-        for x, y, z in tuples(block, 3):
+        for x, y, z in triples(block):
             violations += _check_triple(frame, x, y, z, both)
     report = FrameCheckReport(mode, tuple(violations))
     frame._verdict = report
@@ -404,15 +383,20 @@ def _sweep(frame: Frame, mode: str, tuples: Callable, both: bool) -> FrameCheckR
 
 
 def check_frame_full(frame: Frame) -> FrameCheckReport:
-    """Check the frame conditions over every related pair and triple."""
-    return _sweep(frame, "full", lambda block, r: product(block, repeat=r), both=False)
+    """Check conditions (iii) and (iv) at every related triple.
+
+    Every ordered triple of a block is checked, repeated and descending
+    indices included.  Conditions (i) and (ii) need no check: Frame builds
+    every square and reverse record itself.
+    """
+    return _sweep(frame, "full", lambda block: product(block, repeat=3), both=False)
 
 
 def check_frame_reduced(frame: Frame) -> FrameCheckReport:
-    """Check only the ascending instances; equivalent to the full check.
+    """Check only the ascending triples; equivalent to the full check.
 
-    Squares are checked for every x, converses for x < y, and the image and
-    induced-map conditions for x < y < z, with a second image equation that
-    the full sweep would reach through descending triples.
+    Conditions (iii) and (iv) are checked for x < y < z, with a second image
+    equation that the full sweep would reach through descending triples.
+    Conditions (i) and (ii) hold by construction, as in the full check.
     """
-    return _sweep(frame, "reduced", combinations, both=True)
+    return _sweep(frame, "reduced", lambda block: combinations(block, 3), both=True)

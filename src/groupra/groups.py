@@ -154,7 +154,8 @@ def make_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
 def is_cyclic_table(g: FiniteGroup) -> bool:
     """True iff the table literally equals the Z_n addition table."""
     n = g.order
-    return all(g.op[a][b] == (a + b) % n for a in range(n) for b in range(n))
+    twice = tuple(range(n)) * 2  # row a of Z_n is twice[a : a + n]
+    return all(row == twice[a : a + n] for a, row in enumerate(g.op))
 
 
 def _generators(op: Sequence[Sequence[int]], mask: Mask) -> Optional[list[int]]:

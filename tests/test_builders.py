@@ -116,6 +116,17 @@ def test_cyclic_frame_mapping_and_matrix_agree():
     assert by_mapping == by_matrix
 
 
+def test_cyclic_frame_shares_one_group_per_order():
+    # orders repeat across blocks and out of order; a zero splits index 4 off
+    orders = [12, 6, 12, 6, 12]
+    kappa = [[12, 6, 12, 6, 0], [6, 6, 6, 6, 0], [12, 6, 12, 6, 0], [6, 6, 6, 6, 0], [0, 0, 0, 0, 12]]
+    frame = build_cyclic_frame(orders, kappa)
+    assert frame.groups["0"] is frame.groups["2"] is frame.groups["4"]
+    assert frame.groups["1"] is frame.groups["3"]
+    assert frame.groups["0"] is not frame.groups["1"]
+    assert [g.order for g in frame.groups.values()] == orders
+
+
 def test_cyclic_frame_atom_counts():
     specs = [
         ([6, 9], {(0, 1): 3}),

@@ -81,6 +81,16 @@ def test_make_cyclic():
             assert g.mul(a, b) == (a + b) % 6
         assert g.inv(a) == (-a) % 6
     assert is_cyclic_table(g)
+    for n in (1, 2, 60, 1024):
+        assert is_cyclic_table(make_cyclic(n)), n
+    # Z12 with elements 1 and 2 swapped: cyclic, but not literally Z_12's table
+    swap = {1: 2, 2: 1}
+    relabel = [swap.get(a, a) for a in range(12)]
+    table = [[0] * 12 for _ in range(12)]
+    for a in range(12):
+        for b in range(12):
+            table[relabel[a]][relabel[b]] = relabel[(a + b) % 12]
+    assert not is_cyclic_table(validate_table(table, label="Z12?"))
 
 
 def test_make_cyclic_rejects_nonpositive():
