@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from .frames import Frame, IsoRecord, check_frame_reduced, induced_iso
+from .frames import Frame, IsoRecord, _slots, check_frame_reduced, induced_iso
 from .groups import (
     complex_product,
     elements,
-    is_subset,
     iter_bits,
     left_translate,
     right_translate,
@@ -242,22 +241,21 @@ class GroupRelationAlgebra:
         K_alpha*H_beta is the P0-coset of k*h for any k in K_alpha and h in
         H_beta, because K_xy is normal; the least coset elements serve as k
         and h.  The composite holds the (x,z) atoms whose H_xz-cosets lie in
-        the M0-coset that the induced isomorphism pairs with that P0-coset.
-        So the rule is three tables: atoms_at, the composite for each
-        element of G_y (one frozenset shared by a whole P0-coset); k_rows,
-        the row of G_y's table for each k; and h_reps, each h.  The answer
-        for (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
+        the M0-coset that the induced isomorphism pairs with that P0-coset
+        (frames._slots).  So the rule is three tables: atoms_at, the
+        composite for each element of G_y (one frozenset shared by a whole
+        P0-coset); k_rows, the row of G_y's table for each k; and h_reps,
+        each h.  The answer for (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
         """
-        frame = self.frame
-        ind = induced_iso(frame, x, y, z)
-        hxz = frame.resolve_iso(x, z).h.cosets
-        atoms_at: list = [None] * frame.groups[y].order
-        for mc, pc in zip(ind.m.cosets, ind.p.cosets):
-            inside = frozenset(AtomIndex(x, z, g) for g, hc in enumerate(hxz) if is_subset(hc, mc))
-            for e in iter_bits(pc):
-                atoms_at[e] = inside
-        k_rows = [frame.groups[y].op[r] for r in frame.resolve_iso(x, y).k.reps]
-        rule = self._rules[(x, y, z)] = (atoms_at, k_rows, frame.resolve_iso(y, z).h.reps)
+        frame, records = self.frame, self.frame.records
+        p = induced_iso(frame, x, y, z).p
+        inside: list[list[AtomIndex]] = [[] for _ in range(p.count)]
+        for g, j in enumerate(_slots(records[(y, x)], records[(x, z)], p)):
+            inside[j].append(AtomIndex(x, z, g))
+        sets = [frozenset(atoms) for atoms in inside]
+        atoms_at = [sets[j] for j in p._where]
+        k_rows = [frame.groups[y].op[r] for r in records[(x, y)].k.reps]
+        rule = self._rules[(x, y, z)] = (atoms_at, k_rows, records[(y, z)].h.reps)
         return rule
 
     def fast_compose_subidentity(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
@@ -291,19 +289,10 @@ class GroupRelationAlgebra:
         return FrameElement(self, frozenset(self.converse_atom(a) for a in e.atoms))
 
     def compose(self, e1: FrameElement, e2: FrameElement) -> FrameElement:
-        """The union of a;b over the atoms a of e1 and b of e2.
-
-        Read one related triple at a time (see _compose_by_triple); two
-        single atoms, the sweeps' common case, go straight to their rule.
-        """
+        """The union of a;b over the atoms a of e1 and b of e2, read one
+        related triple at a time (see _compose_by_triple)."""
         e1._require_same(e2)
-        left, right = e1.atoms, e2.atoms
-        if len(left) == 1 == len(right):
-            # the loops only take the one atom of each side
-            for a in left:
-                for b in right:
-                    return FrameElement(self, self._compose(a, b))
-        return FrameElement(self, self._compose_by_triple(left, right))
+        return FrameElement(self, self._compose_by_triple(e1.atoms, e2.atoms))
 
     def _compose_by_triple(
         self, left: frozenset[AtomIndex], right: frozenset[AtomIndex]

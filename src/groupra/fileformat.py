@@ -32,8 +32,10 @@ FiniteGroup, labelled T<id>, over the shared rows, so each error names the
 id it is about.
 
 Files are read as UTF-8 (``_read_text``), and a byte that does not decode
-is refused at its line.  The command line reads its kappa matrices and group
-tables through the same two routines, so they follow the same text rules.
+is refused at its line.  Lines end at \\r\\n, \\r or \\n and nowhere else
+(``_lines``), so a line number is the one an editor or grep shows.  The
+command line reads its kappa matrices and group tables through the same
+routines, so they follow the same text rules.
 
 Emission is normalized: declaration order, canonical representatives,
 single spaces.  Emitting a parsed emission reproduces it byte for byte.
@@ -106,15 +108,25 @@ def _read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # number lines as _content_lines does; the text before the bad byte decodes
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        # the text before the bad byte decodes; its last line is the bad byte's
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise FrameFormatError(line, f"not UTF-8 text (byte {exc.start})") from None
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of text, broken only at \\r\\n, \\r and \\n.
+
+    str.splitlines also breaks at form feed, \\x1c-\\x1e, \\x85 and
+    U+2028/U+2029, which would number lines unlike any editor or grep, and
+    end a comment early.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of each line that is not blank once its comment goes."""
     out = []
-    for i, raw in enumerate(text.splitlines(), 1):
+    for i, raw in enumerate(_lines(text), 1):
         body = raw.split("#", 1)[0].strip()
         if body:
             out.append((i, body.split()))

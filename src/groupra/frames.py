@@ -14,18 +14,16 @@ phi applied to h.cosets[g], so the index map of every record is literally
 the identity.
 
 These two derivations are frame conditions (i) and (ii), so both hold for
-every Frame and the frame checks walk only triples.  They read conditions
-(iii) and (iv) of each related triple off one induced isomorphism
-G_x/M0 -> G_y/P0 -> G_z/N0 (induced_iso): the image equation says
-M0 = H_xy*H_xz and N0 = K_xz*K_yz, and (iv) says that phi_xz maps each
-M0-coset onto the matching N0-coset.
+every Frame and the frame checks walk only triples.  Conditions (iii) and
+(iv) of a related triple concern the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0
+that phi_xy and phi_yz induce (induced_iso): M0 = H_xy*H_xz and
+N0 = K_xz*K_yz, and phi_xz maps each M0-coset onto the matching N0-coset.
+The checks read its coset lists straight off ``Frame.records``.
 
-Every image of a coarse coset (a coset of P0, or of M0 for the direct
-phi_xz route) is read in one pass over a record's paired lists
-(_coarse_images): each H-coset lies inside the coarse coset of its least
-element, so its K-coset joins that coarse coset's image.  The coarse
-systems are the canonical ones the groups keep (enumerate_cosets), so
-their element-to-coset tables are built once per group and subgroup.
+P0 is the canonical system its group keeps (enumerate_cosets).  The M0- and
+N0-cosets, its images, are read in one pass over a record's paired lists
+(_coarse_images); which M0-coset holds each H_xz-coset is answered in one
+place (_slots), for the checks and the algebra's composition rule alike.
 """
 
 from __future__ import annotations
@@ -249,8 +247,8 @@ class InducedIso:
     For indices x, y, z the coarse subgroups are P0 = K_xy*H_yz inside G_y,
     M0 its preimage under phi_xy, and N0 its image under phi_yz.  The three
     coset lists run in parallel: m.cosets[i] maps to p.cosets[i] maps to
-    n.cosets[i] under the induced maps.  Frame conditions (iii) and (iv) of
-    the triple are both read off this one object (see _check_triple).
+    n.cosets[i] under the induced maps.  Conditions (iii) and (iv) are read
+    off the same lists, taken from the records (see _check_triple).
     """
 
     x: str
@@ -296,6 +294,17 @@ def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
     return out
 
 
+def _slots(ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem) -> list[int]:
+    """For each H_xz-coset, the P0-coset whose phi_yx-image holds it.
+
+    The least element of an H_xz-coset lies in an H_xy-coset that phi_xy
+    sends into one P0-coset; the rest of the H_xz-coset follows it when
+    H_xz lies inside M0, as on every checked frame.
+    """
+    where_p, k_reps, where_h = p._where, ryx.h.reps, ryx.k._where
+    return [where_p[k_reps[where_h[r]]] for r in rxz.h.reps]
+
+
 def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
     ryx = frame.resolve_iso(y, x)
     ryz = frame.resolve_iso(y, z)
@@ -335,37 +344,36 @@ class FrameCheckReport:
 
 
 def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Violation]:
-    """Conditions (iii) and (iv) at one triple, read off its induced isomorphism.
+    """Conditions (iii) and (iv) at one triple, read off ``frame.records``.
 
     (iii) holds iff M0 = H_xy*H_xz (and, with ``both``, N0 = K_xz*K_yz);
-    (iv) iff H_xz lies inside M0 and phi_xz maps each M0-coset onto the
-    matching N0-coset.  Both subgroup products are read off the records'
-    coset lists (_times_normal), not multiplied out elementwise.
+    (iv) iff H_xz lies inside M0 and phi_xz, its images gathered by _slots,
+    maps each M0-coset onto the matching N0-coset.  Both subgroup products
+    are read off the records' coset lists (_times_normal).
     """
-    ind = induced_iso(frame, x, y, z)
-    rxy = frame.resolve_iso(x, y)
-    rxz = frame.resolve_iso(x, z)
-    m0, p0, n0 = ind.m.subgroup, ind.p.subgroup, ind.n.subgroup
+    records = frame.records
+    rxy, ryx, rxz, ryz = records[(x, y)], records[(y, x)], records[(x, z)], records[(y, z)]
+    p = enumerate_cosets(frame.groups[y], _times_normal(ryx.h.subgroup, ryz.h))
+    m, n = _coarse_images(ryx, p), _coarse_images(ryz, p)
     found = []
     hh = _times_normal(rxz.h.subgroup, rxy.h)
-    if m0 != hh:
+    if m[0] != hh:
         lhs = try_image(rxy, hh)  # only the report needs phi_xy(H_xy*H_xz) itself
-        found.append(("iii", f"image of H_xy*H_xz is {_fmt_mask(lhs)}, expected {_fmt_mask(p0)}"))
+        shown = f"{_fmt_mask(lhs)}, expected {_fmt_mask(p.subgroup)}"
+        found.append(("iii", f"image of H_xy*H_xz is {shown}"))
     if both:
-        kk = _times_normal(rxz.k.subgroup, frame.resolve_iso(y, z).k)
-        if n0 != kk:
-            shown = f"{_fmt_mask(n0)}, expected {_fmt_mask(kk)}"
+        kk = _times_normal(rxz.k.subgroup, ryz.k)
+        if n[0] != kk:
+            shown = f"{_fmt_mask(n[0])}, expected {_fmt_mask(kk)}"
             found.append(("iii", f"image of K_xy*H_yz is {shown}"))
-    if not is_subset(rxz.h.subgroup, m0):
-        shown = f"{_fmt_mask(rxz.h.subgroup)} is not inside M0 = {_fmt_mask(m0)}"
+    if not is_subset(rxz.h.subgroup, m[0]):
+        shown = f"{_fmt_mask(rxz.h.subgroup)} is not inside M0 = {_fmt_mask(m[0])}"
         found.append(("iv", f"H_xz = {shown}"))
     else:
-        # read in the canonical M0 order, which the group keeps, then put in
-        # ind.m's order by the least element of each coset
-        canonical = enumerate_cosets(frame.groups[x], m0)
-        images, where = _coarse_images(rxz, canonical), canonical._where
-        direct = [images[where[(mc & -mc).bit_length() - 1]] for mc in ind.m.cosets]
-        for mc, img, nc in zip(ind.m.cosets, direct, ind.n.cosets):
+        direct = [0] * p.count
+        for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
+            direct[j] |= kc
+        for mc, img, nc in zip(m, direct, n):
             if img != nc:
                 shown = f"{_fmt_mask(mc)} is {_fmt_mask(img)}, induced route gives {_fmt_mask(nc)}"
                 found.append(("iv", f"direct image of {shown}"))

@@ -95,11 +95,11 @@ def check_involution(alg: GroupRelationAlgebra) -> Iterator[str]:
     for a in alg.atoms():
         if alg.converse_atom(alg.converse_atom(a)) != a:
             yield f"converse of {a.label()} is not involutive"
-    conv = {a: alg.element([alg.converse_atom(a)]) for a in alg.atoms()}
+    conv = {a: alg.converse_atom(a) for a in alg.atoms()}
     for a in alg.atoms():
         for b in alg.atoms():
             left = alg.converse(alg.compose_atoms(a, b))
-            right = alg.compose(conv[b], conv[a])
+            right = alg.compose_atoms(conv[b], conv[a])
             if left != right:
                 yield f"second involution law fails at {a.label()},{b.label()}"
 

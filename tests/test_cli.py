@@ -100,6 +100,14 @@ def test_validate_non_utf8_file(capsys, tmp_path):
     assert err == "parse error: line 2: not UTF-8 text (byte 22)\n"
 
 
+
+def test_non_utf8_byte_after_a_form_feed_is_reported_at_its_line(capsys, tmp_path):
+    path = tmp_path / "feed.frame"
+    path.write_bytes(b"group 0 cyclic 6\x0c\nblock 0\n\xff\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 3: not UTF-8 text (byte 26)\n"
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/file.frame")
     assert code == 2

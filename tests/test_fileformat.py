@@ -72,6 +72,24 @@ def test_parse_tolerates_comments_and_spacing():
     assert parse_frame(text) == build_cyclic_frame([6, 9], {(0, 1): 3})
 
 
+
+def test_form_feed_does_not_start_a_line():
+    # grep -n puts argle on line 3: only \r\n, \r and \n end a line
+    expect_error("group 0 cyclic 6\f\nblock 0\nargle\n", 3, "unknown directive 'argle'")
+    expect_error("group 0 cyclic 6\x1c\x85\nblock 0\u2029\nargle\n", 3, "unknown directive")
+
+
+def test_comment_runs_past_a_unicode_line_separator():
+    frame = parse_frame("# note\u2028group 1 cyclic 4\ngroup 0 cyclic 4\nblock 0\n")
+    assert frame.order == ("0",)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_keep_their_line_numbers(newline):
+    text = newline.join(["group 0 cyclic 6", "# note", "", "block 0", "argle", ""])
+    expect_error(text, 5, "unknown directive 'argle'")
+    assert parse_frame(Z6Z9.replace("\n", newline)) == parse_frame(Z6Z9)
+
 def test_parse_accepts_any_coset_representatives():
     text = lines(
         "group 0 cyclic 6",

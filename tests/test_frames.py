@@ -14,6 +14,7 @@ from groupra.fileformat import parse_frame
 from groupra.frames import (
     Frame,
     IsoRecord,
+    _slots,
     _times_normal,
     check_frame_full,
     check_frame_reduced,
@@ -26,6 +27,7 @@ from groupra.groups import (
     elements,
     enumerate_cosets,
     is_normal,
+    is_subset,
     make_cyclic,
     mask_of,
 )
@@ -539,4 +541,50 @@ def test_d4_q8_d4_reports_are_pinned_on_every_map_choice():
     )
     assert sha256(full.encode()).hexdigest() == (
         "fb28b018d082964565e80894651ace29a49f532728cfdf55498689cf483b7db6"
+    )
+
+
+def test_slots_put_each_h_xz_coset_in_its_m0_coset(corpus):
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    triples = 0
+    for frame in [*corpus, *shipped, *power_frames_of_small_groups()]:
+        for block in frame.blocks:
+            for x, y, z in product(block, repeat=3):
+                ind = induced_iso(frame, x, y, z)
+                rxz = frame.records[(x, z)]
+                slots = _slots(frame.records[(y, x)], rxz, ind.p)
+                assert len(slots) == rxz.kappa, (x, y, z)
+                for hc, j in zip(rxz.h.cosets, slots):
+                    assert is_subset(hc, ind.m.cosets[j]), (x, y, z)
+                triples += 1
+    assert triples > 0
+
+
+def test_checks_build_no_induced_systems(corpus, verdict_frames, monkeypatch):
+    import groupra.frames
+
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    frames = [*shipped, *corpus, *verdict_frames[1]]
+
+    def refuse(*args):
+        raise AssertionError("a frame check built an induced system or resolved a record")
+
+    monkeypatch.setattr(groupra.frames, "induced_iso", refuse)
+    monkeypatch.setattr(groupra.frames, "_system", refuse)
+    monkeypatch.setattr(Frame, "resolve_iso", refuse)
+    reduced = [line for frame in frames for line in check_frame_reduced(frame).lines()]
+    full = [line for frame in frames for line in check_frame_full(frame).lines()]
+    assert (len(frames), len(reduced), len(full)) == (51, 107, 387)
+    # the report lines of the same frames before the checks read the records directly
+    assert sha256("\n".join(reduced).encode()).hexdigest() == (
+        "0784621ad25364677c7e20c15487bc74210f0bb2c22e114497d06549f8b8a72f"
+    )
+    assert sha256("\n".join(full).encode()).hexdigest() == (
+        "001e4d2f92034937466d67375f6709580af6b754e0c4f8fe49734523b2253bec"
     )
