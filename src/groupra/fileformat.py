@@ -21,7 +21,10 @@ map a bijection fixing coset 0 (groups.map_defect, the map-form checks that
 check_quotient_iso runs too).  Frame then checks the record: it asks
 enumerate_cosets again and gets the reader's systems back, since each group
 keeps the systems it has proved, and reads the homomorphism off the paired
-coset lists; a map it rejects is reported at that iso's ``map`` line.
+coset lists (groups.homomorphism_defect).  That proof checks the cosets of
+G_x's generators only; the scan over every pair of cosets runs just to name
+the first failing pair of a map it rejects, which is reported at that iso's
+``map`` line.
 
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
 that line, before any table row is read or any group is built.  Each

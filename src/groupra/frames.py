@@ -91,7 +91,9 @@ class Frame:
     and K normal (or returns the system its group already keeps) and gives
     the canonical lists that H's list must equal and K's must reorder; the
     homomorphism is then read straight off the paired lists by
-    homomorphism_defect, with no quotient group built.  The
+    homomorphism_defect, with no quotient group built.  It is proved on the
+    cosets of G_x's generators; the scan over every pair of cosets runs
+    only to name the witness of a record that fails.  The
     InvalidFrameError for a faulty record names it in ``pair``, and gives
     ``witness`` when the pairing is not homomorphic.
     ``records`` holds the record of every related ordered pair, squares and

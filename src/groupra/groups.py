@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -146,7 +147,8 @@ def check_group_order(n: int) -> None:
 def make_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
     check_group_order(n)
-    op = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    twice = tuple(range(n)) * 2  # row a is twice[a : a + n], as in is_cyclic_table
+    op = tuple(twice[a : a + n] for a in range(n))
     inverse = tuple((-a) % n for a in range(n))
     return FiniteGroup(n, op, inverse, label or f"Z{n}")
 
@@ -489,11 +491,26 @@ def homomorphism_defect(
     Cosets multiply through any representatives, so the least ones do: the
     map respects products iff for all positions a, b the coset of
     h.reps[a]*h.reps[b] sits at the same position as the coset of
-    k.reps[a]*k.reps[b].  Row a of each side is read as one list of coset
-    indices, straight off the systems' lookup tables, and the witness names
-    the first failing (a, b).
+    k.reps[a]*k.reps[b].  Each side is read straight off the systems'
+    lookup tables, with no quotient group built.
+
+    The map is proved on generators, by Light's test as in validate_table:
+    the positions b that respect products with every a are closed under
+    the product, so it is enough to check the cosets of gx's greedy
+    generating set (_generators, kept on gx), O(kappa * |gens|) table reads
+    in place of O(kappa^2).  Only when a generator fails does the full
+    scan over every (a, b), row by row, run, to name the first failing pair.
     """
     h_at, k_at = h._where.__getitem__, k._where.__getitem__
+    rows_x = [gx.op[r] for r in h.reps]
+    rows_y = [gy.op[s] for s in k.reps]
+    for b in dict.fromkeys(map(h_at, gx._generating_set)):
+        left = list(map(h_at, map(itemgetter(h.reps[b]), rows_x)))
+        right = list(map(k_at, map(itemgetter(k.reps[b]), rows_y)))
+        if left != right:
+            break
+    else:
+        return None
     for a, (ra, sa) in enumerate(zip(h.reps, k.reps)):
         left = list(map(h_at, map(gx.op[ra].__getitem__, h.reps)))
         right = list(map(k_at, map(gy.op[sa].__getitem__, k.reps)))
@@ -523,9 +540,12 @@ def check_quotient_iso(
     The map must send coset index 0 to 0 (identity to identity), be a
     bijection, and respect the quotient operations.  A size mismatch between
     the quotients raises IncompatibleQuotientsError; all other failures come
-    back as IsoCheck(False, witness).  This is the index-map form for
-    callers outside a frame: Frame keeps its records as paired coset lists
-    and runs homomorphism_defect on them directly.
+    back as IsoCheck(False, witness).  The products are proved by
+    homomorphism_defect on the cosets of gx's generators; its full scan
+    over every pair of cosets runs only to name the witness of a map that
+    fails.  This is the index-map form for callers outside a frame: Frame
+    keeps its records as paired coset lists and runs homomorphism_defect on
+    them directly.
     """
     hs = enumerate_cosets(gx, h)
     ks = enumerate_cosets(gy, k)

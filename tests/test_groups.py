@@ -835,3 +835,141 @@ def test_coset_of_refuses_elements_outside_the_table():
         with pytest.raises(ValueError, match=f"^element {e} lies in no coset of this system$"):
             table.coset_of(e)
     assert [partial.coset_of(e) for e in (0, 1, 3, 4)] == [0, 1, 0, 1]
+
+
+def test_make_cyclic_is_addition_mod_n():
+    for n in [*range(1, 65), 1024]:
+        g = make_cyclic(n)
+        op = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        assert (g.op, g.inverse, g.label) == (op, tuple((-a) % n for a in range(n)), f"Z{n}")
+        assert all(type(row) is tuple for row in g.op)
+    assert make_cyclic(6, "C6").label == "C6"
+
+
+def z3_times_z2():
+    """Z6 numbered as (a, b) in Z3 x Z2 -> a + 3b, so its greedy generators are 1 and 3."""
+
+    def add(x, y):
+        return (x + y) % 3 + 3 * ((x // 3 + y // 3) % 2)
+
+    return validate_table([[add(x, y) for y in range(6)] for x in range(6)], "Z6")
+
+
+def center(g):
+    return mask_of(a for a in g.elements() if all(g.mul(a, b) == g.mul(b, a) for b in g.elements()))
+
+
+def agreement_quotients():
+    """Quotients with at least two generators, by order: V4 three ways, S3 two and Z6."""
+    d4 = perm_group("D4", *PERM_GENERATORS["D4"])
+    q8 = perm_group("Q8", *PERM_GENERATORS["Q8"])
+    s4 = perm_group("S4", (1, 2, 3, 0), (1, 0, 2, 3))
+    (v4_in_s4,) = [n for n in normal_subgroups(s4) if n.bit_count() == 4]
+    return {
+        4: [(validate_table(KLEIN, "V4"), 1), (d4, center(d4)), (q8, center(q8))],
+        6: [(s3(), 1), (s4, v4_in_s4), (z3_times_z2(), 1)],
+    }
+
+
+def reference_defect(gx, h, gy, k, mapping):
+    """check_quotient_iso's witness for a bijection fixing 0, by a scan over all kappa^2 pairs."""
+    hs, ks = enumerate_cosets(gx, h).cosets, enumerate_cosets(gy, k).cosets
+    image = [ks[i] for i in mapping]
+
+    def rep(coset):
+        return (coset & -coset).bit_length() - 1
+
+    def pos(cosets, e):
+        return next(i for i, c in enumerate(cosets) if c >> e & 1)
+
+    for a, b in itertools.product(range(len(hs)), repeat=2):
+        left = pos(hs, gx.mul(rep(hs[a]), rep(hs[b])))
+        right = pos(image, gy.mul(rep(image[a]), rep(image[b])))
+        if left != right:
+            return f"not homomorphic at cosets ({a},{b})"
+    return None
+
+
+def iso_frame_text(gx, h, gy, k, mapping):
+    """A two-group frame file for the map, and the line number of its ``map`` line."""
+
+    def declare(gid, g):
+        if is_cyclic_table(g):
+            return [f"group {gid} cyclic {g.order}"]
+        return [f"group {gid} table {g.order}", *(" ".join(map(str, row)) for row in g.op)]
+
+    hs, ks = enumerate_cosets(gx, h), enumerate_cosets(gy, k)
+    lines = [*declare("x", gx), *declare("y", gy), "block x y", "iso x y"]
+    lines.append("H " + " ".join(map(str, elements(h))))
+    lines.append("K " + " ".join(map(str, elements(k))))
+    lines.append("map " + " ".join(f"{r}:{ks.reps[m]}" for r, m in zip(hs.reps, mapping)))
+    return "\n".join([*lines, "end"]) + "\n", len(lines)
+
+
+def test_quotient_iso_proof_on_generators_agrees_with_the_full_scan():
+    from groupra.errors import FrameFormatError
+    from groupra.fileformat import parse_frame
+
+    cases = []
+    for order, quotients in agreement_quotients().items():
+        for (gx, h), (gy, k) in itertools.product(quotients, repeat=2):
+            assert len(gx._generating_set) >= 2
+            assert enumerate_cosets(gx, h).count == enumerate_cosets(gy, k).count == order
+            for rest in itertools.permutations(range(1, order)):
+                cases.append((gx, h, gy, k, [0, *rest]))
+    z24, z2 = make_cyclic(24), mask_of([0, 12])
+    rng = random.Random(5)
+    for mapping in [[u * j % 12 for j in range(12)] for u in (1, 5, 7, 11)] + [
+        [0, *rng.sample(range(1, 12), 11)] for _ in range(2000)
+    ]:
+        cases.append((z24, z2, z24, z2, mapping))
+
+    verdicts = []
+    for gx, h, gy, k, mapping in cases:
+        witness = reference_defect(gx, h, gy, k, mapping)
+        verdicts.append(witness is None)
+        assert check_quotient_iso(gx, h, gy, k, mapping) == IsoCheck(witness is None, witness)
+        text, map_line = iso_frame_text(gx, h, gy, k, mapping)
+        if witness is None:
+            parse_frame(text)
+            continue
+        with pytest.raises(FrameFormatError) as info:
+            parse_frame(text)
+        assert (info.value.line, info.value.reason) == (
+            map_line,
+            f"map is not a quotient isomorphism: {witness}",
+        )
+    # V4: all 6 bijections on each of 9 pairs; S3 and S4/V4: the 6 automorphisms
+    # of S3 on each of 4 pairs; Z6: its 2 automorphisms; Z24/Z2: the 4 units
+    assert (verdicts.count(True), verdicts.count(False)) == (54 + 24 + 2 + 4, 1080 - 26 + 2000)
+
+
+class CountingRow(tuple):
+    """A table row that counts the entries read from it into a shared list."""
+
+    def __new__(cls, row, reads):
+        self = super().__new__(cls, row)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_homomorphism_defect_reads_kappa_entries_per_generator():
+    from groupra.groups import homomorphism_defect
+
+    z = make_cyclic(1024)
+    reads_x, reads_y = [0], [0]
+    gx = FiniteGroup(z.order, tuple(CountingRow(r, reads_x) for r in z.op), z.inverse, "Z1024")
+    gy = FiniteGroup(z.order, tuple(CountingRow(r, reads_y) for r in z.op), z.inverse, "Z1024")
+    hs, ks = enumerate_cosets(gx, 1), enumerate_cosets(gy, 1)
+    image = CosetSystem(1, tuple(ks.cosets[5 * j % 1024] for j in range(1024)))
+    gens = gx._generating_set
+    assert gens == [1]
+    reads_x[0] = reads_y[0] = 0
+    assert homomorphism_defect(gx, hs, gy, image) is None
+    # a scan over every pair of cosets reads 1024^2 = 1,048,576 entries a side
+    assert reads_x[0] <= hs.count * len(gens)
+    assert reads_y[0] <= hs.count * len(gens)
