@@ -38,12 +38,10 @@ from .fileformat import emit_frame, parse_frame
 from .frames import (
     Frame,
     FrameCheckReport,
-    InducedIso,
     IsoRecord,
     Violation,
     check_frame_full,
     check_frame_reduced,
-    induced_iso,
 )
 from .groups import (
     CosetSystem,

@@ -6,12 +6,13 @@ algebra does (converse, composition, the Boolean operations) happens on
 atom index sets; concrete pair sets are only materialized on request, which
 is what the relation oracle then cross-checks.
 
-Composition is read off the isomorphism that frames.induced_iso induces for
-a related triple (x,y,z): condition (iv) holds exactly when it makes every
-composition of two atoms a union of atoms, so one lookup rule per triple,
-built on first use, answers every atom pair of that triple.  Elements
-compose one triple at a time: their atoms are grouped by pair, and each
-triple both operands reach reads all its atom pairs off its rule at once.
+Composition is read off the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 that a
+related triple (x,y,z) induces, with P0 = K_xy*H_yz (frames._p0): condition
+(iv) holds exactly when it makes every composition of two atoms a union of
+atoms, so one lookup rule per triple, built on first use, answers every
+atom pair of that triple.  Elements compose one triple at a time: their
+atoms are grouped by pair, and each triple both operands reach reads all
+its atom pairs off its rule at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from .frames import Frame, IsoRecord, _slots, check_frame_reduced, induced_iso
+from .frames import Frame, IsoRecord, _p0, _slots, check_frame_reduced
 from .groups import (
     complex_product,
     elements,
@@ -198,8 +199,15 @@ class GroupRelationAlgebra:
             raise ValueError(f"{a!r} is not an atom of this frame")
 
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
+        """The union of the given atoms; each must be an AtomIndex of this frame.
+
+        A plain tuple equals its AtomIndex, so the membership test alone
+        would let one in; the element it made could not name its atoms.
+        """
         out = frozenset(atoms)
         for a in out:
+            if type(a) is not AtomIndex:
+                raise ValueError(f"{a!r} is not an AtomIndex")
             self._require_atom(a)
         return FrameElement(self, out)
 
@@ -221,7 +229,7 @@ class GroupRelationAlgebra:
         return AtomIndex(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
-        """a;b, empty unless a.y == b.x; read off induced_iso(frame, x, y, z)."""
+        """a;b, empty unless a.y == b.x; read off the rule of the triple (x,y,z)."""
         self._require_atom(a)
         self._require_atom(b)
         return FrameElement(self, self._compose(a, b))
@@ -246,9 +254,11 @@ class GroupRelationAlgebra:
         composite for each element of G_y (one frozenset shared by a whole
         P0-coset); k_rows, the row of G_y's table for each k; and h_reps,
         each h.  The answer for (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
+        P0 is the system frames._p0 gives, the one the frame check read; M0
+        and N0 get no system of their own.
         """
         frame, records = self.frame, self.frame.records
-        p = induced_iso(frame, x, y, z).p
+        p = _p0(frame, x, y, z)
         inside: list[list[AtomIndex]] = [[] for _ in range(p.count)]
         for g, j in enumerate(_slots(records[(y, x)], records[(x, z)], p)):
             inside[j].append(AtomIndex(x, z, g))

@@ -61,8 +61,9 @@ def build_power_frame(
     Every index carries m itself, and each in-block isomorphism matches
     cosets of n positionally (the copies are renumberings of each other).
     With n = {e} all cross atoms are bijections; with n = m each related
-    rectangle is a single atom.  More than MAX_POWER_COPIES ids are refused
-    before any coset is enumerated.
+    rectangle is a single atom.  A block may list its ids in any order.
+    More than MAX_POWER_COPIES ids are refused before any coset is
+    enumerated.
     """
     check_power_copies(len(ids))
     system = enumerate_cosets(m, n)
@@ -71,9 +72,12 @@ def build_power_frame(
     groups = {x: m for x in ids}
     if len(groups) != len(ids):
         raise FrameBuildError("duplicate index in power frame")
+    # each pair is filed under the id that comes first in ids, as Frame asks;
+    # an id outside ids sorts last and is refused by Frame with its own error
+    pos = {x: i for i, x in enumerate(ids)}
     isos = {}
     for block in blocks:
-        members = list(block)
+        members = sorted(block, key=lambda x: pos.get(x, len(ids)))
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 isos[(x, y)] = IsoRecord(x, y, system, system)

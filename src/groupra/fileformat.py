@@ -12,7 +12,7 @@ ignored:
     map <h>:<k> ...          (one entry per H-coset, canonical order;
                               h a representative of that coset, k any
                               element of its image K-coset)
-    end
+    end                      (alone on its line)
 
 Which layer checks what: the reader enumerates H's and K's cosets to read
 a record.  It checks syntax, ids, blocks, element ranges and table groups,
@@ -213,6 +213,8 @@ def parse_frame(text: str) -> Frame:
                 part_line, part = take()
                 if part[0] != expect:
                     raise FrameFormatError(part_line, f"expected {expect!r} here, got {part[0]!r}")
+                if expect == "end" and len(part) > 1:
+                    raise FrameFormatError(part_line, "'end' takes no arguments")
                 if expect == "H":
                     d.h_line = part_line
                     d.h_elems = [_int(t, part_line, "H element") for t in part[1:]]

@@ -16,14 +16,15 @@ the identity.
 These two derivations are frame conditions (i) and (ii), so both hold for
 every Frame and the frame checks walk only triples.  Conditions (iii) and
 (iv) of a related triple concern the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0
-that phi_xy and phi_yz induce (induced_iso): M0 = H_xy*H_xz and
-N0 = K_xz*K_yz, and phi_xz maps each M0-coset onto the matching N0-coset.
-The checks read its coset lists straight off ``Frame.records``.
+that phi_xy and phi_yz induce: M0 = H_xy*H_xz and N0 = K_xz*K_yz, and
+phi_xz maps each M0-coset onto the matching N0-coset.  The checks read its
+coset lists straight off ``Frame.records``.
 
-P0 is the canonical system its group keeps (enumerate_cosets).  The M0- and
+P0 = K_xy*H_yz is the canonical system its group keeps, read in one place
+(_p0) for the checks and the algebra's composition rule alike.  The M0- and
 N0-cosets, its images, are read in one pass over a record's paired lists
 (_coarse_images); which M0-coset holds each H_xz-coset is answered in one
-place (_slots), for the checks and the algebra's composition rule alike.
+place (_slots).
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .groups import (
 __all__ = [
     "IsoRecord",
     "Frame",
-    "InducedIso",
-    "induced_iso",
     "Violation",
     "FrameCheckReport",
     "check_frame_full",
@@ -242,29 +241,6 @@ class Frame:
         return f"Frame(indices={list(self.order)}, blocks={[list(b) for b in self.blocks]})"
 
 
-@dataclass(frozen=True)
-class InducedIso:
-    """The isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 that phi_xy and phi_yz induce.
-
-    For indices x, y, z the coarse subgroups are P0 = K_xy*H_yz inside G_y,
-    M0 its preimage under phi_xy, and N0 its image under phi_yz.  The three
-    coset lists run in parallel: m.cosets[i] maps to p.cosets[i] maps to
-    n.cosets[i] under the induced maps.  Conditions (iii) and (iv) are read
-    off the same lists, taken from the records (see _check_triple).
-    """
-
-    x: str
-    y: str
-    z: str
-    m: CosetSystem
-    p: CosetSystem
-    n: CosetSystem
-
-
-def _system(cosets: Sequence[Mask]) -> CosetSystem:
-    return CosetSystem(cosets[0], tuple(cosets))
-
-
 def _times_normal(a: Mask, b: CosetSystem) -> Mask:
     """The product set a*B for a normal subgroup B: the B-cosets that meet a.
 
@@ -279,6 +255,16 @@ def _times_normal(a: Mask, b: CosetSystem) -> Mask:
         out |= cosets[where[(rest & -rest).bit_length() - 1]]
         rest &= ~out
     return out
+
+
+def _p0(frame: Frame, x: str, y: str, z: str) -> CosetSystem:
+    """The canonical system of P0 = K_xy*H_yz in G_y for the triple (x,y,z).
+
+    phi_yx and phi_yz are defined on P0's cosets, since P0 contains K_xy and
+    H_yz: their images are the M0- and N0-cosets (_coarse_images).
+    """
+    k_xy, h_yz = frame.records[(y, x)].h, frame.records[(y, z)].h
+    return enumerate_cosets(frame.groups[y], _times_normal(k_xy.subgroup, h_yz))
 
 
 def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
@@ -305,16 +291,6 @@ def _slots(ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem) -> list[int]:
     """
     where_p, k_reps, where_h = p._where, ryx.h.reps, ryx.k._where
     return [where_p[k_reps[where_h[r]]] for r in rxz.h.reps]
-
-
-def induced_iso(frame: Frame, x: str, y: str, z: str) -> InducedIso:
-    ryx = frame.resolve_iso(y, x)
-    ryz = frame.resolve_iso(y, z)
-    # P0 contains K_xy and H_yz, so each of its cosets has both images
-    p = enumerate_cosets(frame.groups[y], _times_normal(ryx.h.subgroup, ryz.h))
-    m = _system(_coarse_images(ryx, p))
-    n = _system(_coarse_images(ryz, p))
-    return InducedIso(x, y, z, m, p, n)
 
 
 # -- frame conditions ----------------------------------------------------
@@ -355,7 +331,7 @@ def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Viol
     """
     records = frame.records
     rxy, ryx, rxz, ryz = records[(x, y)], records[(y, x)], records[(x, z)], records[(y, z)]
-    p = enumerate_cosets(frame.groups[y], _times_normal(ryx.h.subgroup, ryz.h))
+    p = _p0(frame, x, y, z)
     m, n = _coarse_images(ryx, p), _coarse_images(ryz, p)
     found = []
     hh = _times_normal(rxz.h.subgroup, rxy.h)

@@ -126,6 +126,12 @@ def test_element_rejects_foreign_atom():
         ALG.element([AtomIndex("0", "1", 7)])
 
 
+def test_element_rejects_a_plain_tuple():
+    # ("0","1",1) equals AtomIndex("0","1",1), so only the type tells them apart
+    with pytest.raises(ValueError, match=r"\('0', '1', 1\) is not an AtomIndex"):
+        ALG.element([AtomIndex("0", "0", 0), ("0", "1", 1)])
+
+
 def test_zero_unit_identity():
     assert len(ALG.zero()) == 0
     assert ALG.unit().atoms == ALG.all_atoms
@@ -167,7 +173,7 @@ def test_composition_reads_one_rule_per_triple(monkeypatch):
     import groupra.algebra
 
     triples = []
-    real = groupra.algebra.induced_iso
+    real = groupra.algebra._p0
 
     def counting(frame, x, y, z):
         triples.append((x, y, z))
@@ -176,7 +182,7 @@ def test_composition_reads_one_rule_per_triple(monkeypatch):
     def refuse(*args):
         raise AssertionError("compose_atoms called complex_product")
 
-    monkeypatch.setattr(groupra.algebra, "induced_iso", counting)
+    monkeypatch.setattr(groupra.algebra, "_p0", counting)
     monkeypatch.setattr(groupra.algebra, "complex_product", refuse)
     alg = fresh_running_algebra()
     for _ in range(2):
@@ -470,13 +476,35 @@ def test_element_composition_builds_only_the_rules_it_reads():
     assert set(alg._rules) == reached
 
 
+def test_rules_build_no_coset_system_but_p0(monkeypatch):
+    frame = build_cyclic_frame([60] * 4, {(i, j): 12 for i in range(4) for j in range(i + 1, 4)})
+    assert check_frame_reduced(frame).ok
+    alg = GroupRelationAlgebra(frame)
+    groups = list({id(g): g for g in frame.groups.values()}.values())
+    before = sum(len(g._cosets) for g in groups)
+    built = []
+    real = CosetSystem.__post_init__
+
+    def counting(self):
+        built.append(self.subgroup)
+        real(self)
+
+    monkeypatch.setattr(CosetSystem, "__post_init__", counting)
+    for x, y, z in itertools.product(frame.order, repeat=3):
+        alg._rule(x, y, z)
+    assert len(alg._rules) == 64
+    # each system built is a P0 that enumerate_cosets keeps on its group
+    assert len(built) == sum(len(g._cosets) for g in groups) - before
+    assert all(any(g._cosets.get(h) for g in groups) for h in built)
+
+
 def test_cross_frame_composition_is_refused_before_any_rule_is_built(monkeypatch):
     import groupra.algebra
 
     def refuse(*args):
         raise AssertionError("a rule was built")
 
-    monkeypatch.setattr(groupra.algebra, "induced_iso", refuse)
+    monkeypatch.setattr(groupra.algebra, "_p0", refuse)
     mine, other = fresh_running_algebra(), fresh_running_algebra()
     for e1, e2 in [
         (mine.element([AtomIndex("0", "1", 0)]), other.element([AtomIndex("1", "0", 0)])),

@@ -11,7 +11,7 @@ from groupra.builders import (
     cyclic_iso_record,
     merge_frames,
 )
-from groupra.errors import FrameBuildError
+from groupra.errors import FrameBuildError, InvalidFrameError
 from groupra.groups import make_cyclic, mask_of, validate_table
 from groupra.relations import cayley_relation
 
@@ -88,6 +88,17 @@ def test_power_frame_with_blocks():
     alg = GroupRelationAlgebra(frame)
     assert len(alg.atoms()) == 2 + 2 + 2 + 2 + 2  # squares a,b,c and pair (a,b) both ways
     assert not alg.is_simple()
+
+
+def test_power_frame_block_may_list_its_ids_in_any_order():
+    m = make_cyclic(4)
+    frame = build_power_frame(m, 1, ["0", "1", "2"], [["2", "0"], ["1"]])
+    assert frame == build_power_frame(m, 1, ["0", "1", "2"], [["0", "2"], ["1"]])
+    assert list(frame.isos) == [("0", "2")]
+    with pytest.raises(InvalidFrameError, match="block mentions unknown index '2'"):
+        build_power_frame(m, 1, ["0", "1"], [["2", "0"], ["1"]])
+    with pytest.raises(InvalidFrameError, match="index '0' appears in two blocks"):
+        build_power_frame(m, 1, ["0", "1"], [["1", "0"], ["0"]])
 
 
 def test_power_frame_rejects_duplicate_ids():

@@ -356,6 +356,14 @@ def test_gen_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     assert err == f"parse error: {table}: line 1: not UTF-8 text (byte 0)\n"
 
 
+def test_gen_power_block_order_does_not_matter(capsys, tmp_path):
+    table = tmp_path / "z2.txt"
+    table.write_text("0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "gen", "power", str(table), "0", "2", "1,0")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "gen", "power", str(table), "0", "2", "0,1")
+
+
 def test_gen_refused_table_exits_1(capsys, tmp_path):
     table = tmp_path / "loop5.txt"
     table.write_text("0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")

@@ -234,6 +234,11 @@ def test_error_iso_arity():
     expect_error(lines("group 0 cyclic 2", "block 0", "iso 0"), 3, "expected 'iso <x> <y>'")
 
 
+def test_error_tokens_after_end():
+    text = Z6Z9.replace("end\n", "end extra\n")
+    expect_error(text, 8, "'end' takes no arguments")
+
+
 def test_error_iso_unknown_id():
     expect_error(
         lines(
