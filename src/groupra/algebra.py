@@ -195,19 +195,22 @@ class GroupRelationAlgebra:
         return (self.frame.pos[a.x], self.frame.pos[a.y], a.alpha)
 
     def _require_atom(self, a: AtomIndex) -> None:
+        """The one atom gate: a must be an AtomIndex of this frame.
+
+        Every method that takes atoms calls it, and nothing past it checks an
+        atom again.  The type test comes first because a plain tuple equals
+        its AtomIndex: the membership test alone would let ("0","1",0) in,
+        to fail later on a missing field, or to hit atom_relation's cache.
+        """
+        if type(a) is not AtomIndex:
+            raise ValueError(f"{a!r} is not an AtomIndex")
         if a not in self.all_atoms:
             raise ValueError(f"{a!r} is not an atom of this frame")
 
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
-        """The union of the given atoms; each must be an AtomIndex of this frame.
-
-        A plain tuple equals its AtomIndex, so the membership test alone
-        would let one in; the element it made could not name its atoms.
-        """
+        """The union of the given atoms, each passed through _require_atom."""
         out = frozenset(atoms)
         for a in out:
-            if type(a) is not AtomIndex:
-                raise ValueError(f"{a!r} is not an AtomIndex")
             self._require_atom(a)
         return FrameElement(self, out)
 
@@ -224,7 +227,7 @@ class GroupRelationAlgebra:
 
     def converse_atom(self, a: AtomIndex) -> AtomIndex:
         self._require_atom(a)
-        h = self.frame.resolve_iso(a.x, a.y).h
+        h = self.frame.records[(a.x, a.y)].h
         # H is normal, so the inverse of the coset rH is the coset of r^-1
         return AtomIndex(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))
 
@@ -232,16 +235,13 @@ class GroupRelationAlgebra:
         """a;b, empty unless a.y == b.x; read off the rule of the triple (x,y,z)."""
         self._require_atom(a)
         self._require_atom(b)
-        return FrameElement(self, self._compose(a, b))
-
-    def _compose(self, a: AtomIndex, b: AtomIndex) -> frozenset[AtomIndex]:
         if a.y != b.x:
-            return _NO_ATOMS
+            return FrameElement(self, _NO_ATOMS)
         rule = self._rules.get((a.x, a.y, b.y))
         if rule is None:
             rule = self._rule(a.x, a.y, b.y)
         atoms_at, k_rows, h_reps = rule
-        return atoms_at[k_rows[a.alpha][h_reps[b.alpha]]]
+        return FrameElement(self, atoms_at[k_rows[a.alpha][h_reps[b.alpha]]])
 
     def _rule(self, x: str, y: str, z: str) -> _Rule:
         """Build and keep the rule of the related triple (x,y,z).
@@ -272,7 +272,8 @@ class GroupRelationAlgebra:
         """Closed-form composition when a square pair is involved.
 
         Handles (x,x);(x,z), (x,y);(y,y) and the round trip (x,y);(y,x);
-        anything else falls back to compose_atoms.
+        anything else falls back to compose_atoms.  Each answer is read off
+        the proven record, so its atoms are built without a second check.
         """
         self._require_atom(a)
         self._require_atom(b)
@@ -280,19 +281,19 @@ class GroupRelationAlgebra:
         if a.y != b.x:
             return self.compose_atoms(a, b)
         if a.x == a.y:
-            record = frame.resolve_iso(b.x, b.y)
+            record = frame.records[(b.x, b.y)]
             target = left_translate(frame.groups[a.x], a.alpha, record.h.cosets[b.alpha])
-            return self.element([AtomIndex(b.x, b.y, record.h.index_of(target))])
+            return FrameElement(self, frozenset([AtomIndex(b.x, b.y, record.h.index_of(target))]))
         if b.x == b.y:
-            record = frame.resolve_iso(a.x, a.y)
+            record = frame.records[(a.x, a.y)]
             target = right_translate(frame.groups[b.x], record.k.cosets[a.alpha], b.alpha)
-            return self.element([AtomIndex(a.x, a.y, record.k.index_of(target))])
+            return FrameElement(self, frozenset([AtomIndex(a.x, a.y, record.k.index_of(target))]))
         if b.y == a.x:
-            record = frame.resolve_iso(a.x, a.y)
+            record = frame.records[(a.x, a.y)]
             prod = complex_product(
                 frame.groups[a.x], record.h.cosets[a.alpha], record.h.cosets[b.alpha]
             )
-            return self.element(AtomIndex(a.x, a.x, f) for f in elements(prod))
+            return FrameElement(self, frozenset(AtomIndex(a.x, a.x, f) for f in elements(prod)))
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:
@@ -336,10 +337,10 @@ class GroupRelationAlgebra:
 
     def atom_relation(self, a: AtomIndex) -> ConcreteRelation:
         """The pairs of atom a on global ids (see atom_relation_of), cached per atom."""
+        self._require_atom(a)
         hit = self._relation_cache.get(a)
         if hit is None:
-            self._require_atom(a)
-            record = self.frame.resolve_iso(a.x, a.y)
+            record = self.frame.records[(a.x, a.y)]
             hit = self._relation_cache[a] = atom_relation_of(self.frame, record, a.alpha, self.base)
         return hit
 

@@ -17,7 +17,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .algebra import AtomIndex, GroupRelationAlgebra, atom_relation_of
 from .builders import build_cyclic_frame, build_power_frame, check_power_copies
-from .errors import FrameBuildError, FrameFormatError, NotRelatedError
+from .errors import FrameBuildError, FrameFormatError
 from .fileformat import _content_lines, _int, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
 from .groups import _fmt_mask, mask_of, validate_table
@@ -65,7 +65,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_atoms(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
     for i, atom in enumerate(alg.atoms()):
-        record = alg.frame.resolve_iso(atom.x, atom.y)
+        record = alg.frame.records[(atom.x, atom.y)]
         # kappa H-cosets, each |H| rows by one K-coset: |G_x|*|K| pairs
         size = alg.frame.groups[atom.x].order * record.k.subgroup.bit_count()
         line = f"{i} {atom.label()} {size}"
@@ -295,9 +295,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FrameFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except NotRelatedError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -187,26 +187,20 @@ def check_fast_paths(alg: GroupRelationAlgebra) -> Iterator[str]:
 @_capped
 def check_image_equations(frame: Frame) -> Iterator[str]:
     """The three Image Theorem equations, for every related chain (x,y),(y,z)."""
+    records = frame.records
     for block in frame.blocks:
-        for x in block:
-            for y in block:
-                for z in block:
-                    rxy = frame.resolve_iso(x, y)
-                    ryz = frame.resolve_iso(y, z)
-                    rxz = frame.resolve_iso(x, z)
-                    gx, gy = frame.groups[x], frame.groups[y]
-                    hh = complex_product(gx, rxy.h.subgroup, rxz.h.subgroup)
-                    kh = complex_product(gy, rxy.k.subgroup, ryz.h.subgroup)
-                    kk = complex_product(
-                        frame.groups[z], rxz.k.subgroup, ryz.k.subgroup
-                    )
-                    spot = f"({x},{y},{z})"
-                    if try_image(rxy, hh) != kh:
-                        yield f"first image equation fails at {spot}"
-                    if try_image(ryz, kh) != kk:
-                        yield f"second image equation fails at {spot}"
-                    if try_image(rxz, hh) != kk:
-                        yield f"third image equation fails at {spot}"
+        for x, y, z in itertools.product(block, repeat=3):
+            rxy, ryz, rxz = records[(x, y)], records[(y, z)], records[(x, z)]
+            hh = complex_product(frame.groups[x], rxy.h.subgroup, rxz.h.subgroup)
+            kh = complex_product(frame.groups[y], rxy.k.subgroup, ryz.h.subgroup)
+            kk = complex_product(frame.groups[z], rxz.k.subgroup, ryz.k.subgroup)
+            spot = f"({x},{y},{z})"
+            if try_image(rxy, hh) != kh:
+                yield f"first image equation fails at {spot}"
+            if try_image(ryz, kh) != kk:
+                yield f"second image equation fails at {spot}"
+            if try_image(rxz, hh) != kk:
+                yield f"third image equation fails at {spot}"
 
 
 VERIFY_SWEEPS: list[tuple[str, Callable[[GroupRelationAlgebra], list[str]]]] = [

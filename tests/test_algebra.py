@@ -132,6 +132,29 @@ def test_element_rejects_a_plain_tuple():
         ALG.element([AtomIndex("0", "0", 0), ("0", "1", 1)])
 
 
+def test_every_atom_method_rejects_a_plain_tuple():
+    alg = fresh_running_algebra()
+    atom, back, square = AtomIndex("0", "1", 1), AtomIndex("1", "0", 2), AtomIndex("0", "0", 3)
+    not_atom = r"\('0', '1', 1\) is not an AtomIndex"
+    calls = [
+        lambda t: alg.compose_atoms(t, back),
+        lambda t: alg.compose_atoms(square, t),
+        lambda t: alg.converse_atom(t),
+        lambda t: alg.fast_compose_subidentity(t, back),
+        lambda t: alg.fast_compose_subidentity(square, t),
+        lambda t: alg.atom_relation(t),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=not_atom):
+            call(("0", "1", 1))
+    # the equal AtomIndex's relation, once cached, must not answer for the tuple
+    assert alg.atom_relation(atom).count() > 0
+    with pytest.raises(ValueError, match=not_atom):
+        alg.atom_relation(("0", "1", 1))
+    with pytest.raises(ValueError, match=r"AtomIndex\(x='0', y='1', alpha=3\) is not an atom"):
+        alg.atom_relation(AtomIndex("0", "1", 3))
+
+
 def test_zero_unit_identity():
     assert len(ALG.zero()) == 0
     assert ALG.unit().atoms == ALG.all_atoms

@@ -359,6 +359,22 @@ def test_error_h_element_out_of_range():
     )
 
 
+def test_error_k_element_out_of_range():
+    text = lines(
+        "group 0 cyclic 6",
+        "group 1 cyclic 9",
+        "block 0 1",
+        "iso 0 1",
+        "H 0 3",
+        "K 0 3 9",
+        "map 0:0 1:1 2:2",
+        "end",
+    )
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(text)
+    assert (info.value.line, info.value.reason) == (6, "element 9 outside group '1'")
+
+
 def test_error_h_not_a_subgroup():
     expect_error(
         lines(

@@ -595,3 +595,15 @@ def test_checks_build_no_induced_systems(corpus, verdict_frames, monkeypatch):
     assert sha256("\n".join(full).encode()).hexdigest() == (
         "001e4d2f92034937466d67375f6709580af6b754e0c4f8fe49734523b2253bec"
     )
+
+
+def test_frame_refuses_an_iso_filed_under_an_unknown_index():
+    z6, z9 = make_cyclic(6), make_cyclic(9)
+    h, k = enumerate_cosets(z6, mask_of([0, 3])), enumerate_cosets(z9, mask_of([0, 3, 6]))
+    good = IsoRecord("0", "1", h, k)
+    for pair in (("0", "7"), ("7", "1")):
+        isos = {("0", "1"): good, pair: IsoRecord(*pair, h, k)}
+        with pytest.raises(InvalidFrameError) as info:
+            Frame({"0": z6, "1": z9}, [["0", "1"]], isos)
+        assert str(info.value) == f"isomorphism for unknown pair ({pair[0]},{pair[1]})"
+        assert info.value.pair == pair

@@ -973,3 +973,38 @@ def test_homomorphism_defect_reads_kappa_entries_per_generator():
     # a scan over every pair of cosets reads 1024^2 = 1,048,576 entries a side
     assert reads_x[0] <= hs.count * len(gens)
     assert reads_y[0] <= hs.count * len(gens)
+
+
+def test_finite_group_refuses_a_table_that_is_not_square():
+    with pytest.raises(GroupTableError) as info:
+        FiniteGroup(2, ((0, 1), (1,)), (0, 1))
+    assert str(info.value) == "operation table is not 2x2"
+    with pytest.raises(GroupTableError) as info:
+        FiniteGroup(2, ((0, 1),), (0, 1))
+    assert str(info.value) == "operation table is not 2x2"
+
+
+def test_finite_group_refuses_an_identity_that_is_not_two_sided():
+    # row 0 is the identity row, but column 0 is not: 1*0 = 0
+    with pytest.raises(GroupTableError) as info:
+        FiniteGroup(2, ((0, 1), (0, 1)), (0, 1))
+    assert str(info.value) == "index 0 is not a two-sided identity (fails at 1)"
+
+
+def test_finite_group_refuses_a_wrong_inverse_entry():
+    z3 = make_cyclic(3)
+    with pytest.raises(GroupTableError) as info:
+        FiniteGroup(3, z3.op, (0, 1, 1))
+    assert str(info.value) == "inverse table wrong at element 1"
+
+
+def test_coset_system_refuses_a_subgroup_without_the_identity():
+    with pytest.raises(ValueError) as info:
+        CosetSystem(mask_of([1, 2]), (mask_of([1, 2]), mask_of([0, 3])))
+    assert str(info.value) == "subgroup must contain the identity"
+
+
+def test_coset_system_refuses_cosets_of_unequal_size():
+    with pytest.raises(ValueError) as info:
+        CosetSystem(mask_of([0, 3]), (mask_of([0, 3]), mask_of([1, 4, 5])))
+    assert str(info.value) == "cosets must all have the subgroup's size"

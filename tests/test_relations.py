@@ -166,3 +166,15 @@ def test_compose_and_converse_at_high_ids_of_a_large_base():
         for s in relations:
             got = rel_compose(rr, ConcreteRelation.from_pairs(size, s))
             assert set(got.pairs()) == pair_compose(r, s)
+
+
+def test_relation_refuses_the_wrong_row_count():
+    with pytest.raises(ValueError) as info:
+        ConcreteRelation(3, (1, 2))
+    assert str(info.value) == "expected 3 rows, got 2"
+
+
+def test_relation_refuses_a_row_outside_the_base():
+    with pytest.raises(ValueError) as info:
+        ConcreteRelation(3, (1, 0b1000, 4))
+    assert str(info.value) == "row mask reaches outside the base set"

@@ -5,6 +5,7 @@ import random
 from groupra.algebra import AtomIndex, FrameElement, GroupRelationAlgebra
 from groupra.builders import build_cyclic_frame
 from groupra.frames import check_frame_full
+from groupra.relations import ConcreteRelation
 from groupra.verification import (
     VERIFY_SWEEPS,
     check_associativity,
@@ -13,6 +14,7 @@ from groupra.verification import (
     check_image_equations,
     check_involution,
     check_oracle_composition,
+    check_partition,
     verify_algebra,
 )
 
@@ -153,3 +155,56 @@ def test_involution_builds_one_converse_element_per_atom(monkeypatch):
     monkeypatch.setattr(alg, "element", counting)
     assert check_involution(alg) == []
     assert len(calls) <= 2 * len(alg.atoms())
+
+
+def test_partition_names_an_atom_that_overlaps_an_earlier_one(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    first, second = alg.atoms()[:2]
+    real = alg.atom_relation
+    # ((0,0),1) given the pairs of ((0,0),0), the identity on G_0: row 0 meets first
+    monkeypatch.setattr(alg, "atom_relation", lambda a: real(first if a == second else a))
+    assert check_partition(alg) == [
+        "atom ((0,0),1) overlaps an earlier atom in row 0",
+        "atom union differs from the unit relation",
+    ]
+
+
+def test_partition_names_an_atom_union_short_of_the_unit(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    last = alg.atoms()[-1]
+    real = alg.atom_relation
+    empty = ConcreteRelation.empty(alg.base.size)
+    monkeypatch.setattr(alg, "atom_relation", lambda a: empty if a == last else real(a))
+    assert check_partition(alg) == ["atom union differs from the unit relation"]
+
+
+def test_involution_names_the_first_pair_where_the_second_law_fails(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    atoms = alg.atoms()
+    a, b = AtomIndex("0", "1", 1), AtomIndex("1", "0", 1)
+    real = alg.compose_atoms
+    extra = next(t for t in atoms if t not in real(a, b).atoms)
+
+    def wrong(p, q):
+        got = real(p, q)
+        return alg.element(got.atoms | {extra}) if (p, q) == (a, b) else got
+
+    monkeypatch.setattr(alg, "compose_atoms", wrong)
+    # a;b is wrong on the left at (a,b), and on the right at (conv b, conv a)
+    assert (alg.converse_atom(b), alg.converse_atom(a)) == (
+        AtomIndex("0", "1", 2),
+        AtomIndex("1", "0", 2),
+    )
+    assert check_involution(alg) == [
+        "second involution law fails at ((0,1),1),((1,0),1)",
+        "second involution law fails at ((0,1),2),((1,0),2)",
+    ]
+
+
+def test_identity_laws_name_the_first_element_they_fail_on(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    # 1'_0 alone: composing with it drops every atom of the pairs (1,y) or (x,1)
+    monkeypatch.setattr(alg, "identity_element", lambda: alg.element([AtomIndex("0", "0", 0)]))
+    failures = check_identity_laws(alg)
+    assert failures[0] == f"identity law fails on {alg.unit()!r}"
+    assert f"identity law fails on {alg.zero()!r}" not in failures
