@@ -28,11 +28,15 @@ the first failing pair of a map it rejects, which is reported at that iso's
 
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
 that line, before any table row is read or any group is built.  Each
-distinct group declaration is built once per file: ``cyclic n`` once
-per n, and a table once per distinct text (its rows as tokens), converted
-to integers and validated once.  Every table id still gets its own
-FiniteGroup, labelled T<id>, over the shared rows, so each error names the
-id it is about.
+distinct line is split into tokens once (``_content_lines``), so the rows
+of a repeated table are split once.  Each distinct group declaration is
+built once per file: ``cyclic n`` once per n, and a table once per
+distinct text (its rows as tokens), converted to integers and validated
+once.  Every table id still gets its own FiniteGroup, labelled T<id>
+(FiniteGroup.relabelled): identical tables share their rows and also
+their proofs, the coset systems of the subgroups proved normal and the
+generating set, so a subgroup is proved once per distinct table.  A proof
+that fails is not kept, so each error names the id it is about.
 
 Files are read as UTF-8 (``_read_text``), and a byte that does not decode
 is refused at its line.  Lines end at \\r\\n, \\r or \\n and nowhere else
@@ -46,7 +50,7 @@ single spaces.  Emitting a parsed emission reproduces it byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -94,15 +98,34 @@ def _int(token: str, line: int, what: str) -> int:
         raise FrameFormatError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _ints(tokens: list[str], line: int, what: str) -> list[int]:
+    """Tokens as integers; a FrameFormatError names the first bad one."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_int(t, line, what) for t in tokens]
+
+
+def _map_entries(tokens: list[str], line: int) -> list[tuple[int, int]]:
+    """The h:k entries of a map line; a FrameFormatError names the first bad one."""
+    try:
+        return [(int(h), int(k)) for h, _, k in (t.partition(":") for t in tokens)]
+    except ValueError:  # a token without ':' has k == "", which int refuses too
+        pass
+    entries = []
+    for token in tokens:
+        h_part, sep, k_part = token.partition(":")
+        if not sep:
+            raise FrameFormatError(line, f"map entry {token!r} lacks ':'")
+        entries.append(
+            (_int(h_part, line, "map representative"), _int(k_part, line, "map image"))
+        )
+    return entries
+
+
 def _table_entries(rows: list[tuple[int, list[str]]]) -> list[list[int]]:
     """Table rows as integers; a FrameFormatError names the first bad entry."""
-    out = []
-    for line, tokens in rows:
-        try:
-            out.append(list(map(int, tokens)))
-        except ValueError:
-            out.append([_int(t, line, "table entry") for t in tokens])
-    return out
+    return [_ints(tokens, line, "table entry") for line, tokens in rows]
 
 
 def _read_text(path: str) -> str:
@@ -127,12 +150,19 @@ def _lines(text: str) -> list[str]:
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of each line that is not blank once its comment goes."""
+    """(line number, tokens) of each line that is not blank once its comment goes.
+
+    Each distinct line is split once, and equal lines share one token list,
+    which no caller mutates.
+    """
     out = []
+    split: dict[str, list[str]] = {}
     for i, raw in enumerate(_lines(text), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((i, body.split()))
+        tokens = split.get(raw)
+        if tokens is None:
+            tokens = split[raw] = raw.split("#", 1)[0].split()
+        if tokens:
+            out.append((i, tokens))
     return out
 
 
@@ -196,7 +226,7 @@ def parse_frame(text: str) -> Frame:
                         tables[table_text] = shared
                     except GroupTableError as exc:
                         raise FrameFormatError(line, f"not a group table: {exc}") from None
-                groups[gid] = replace(shared, label=f"T{gid}")
+                groups[gid] = shared.relabelled(f"T{gid}")
             group_lines[gid] = line
         elif keyword == "block":
             if len(tokens) < 2:
@@ -217,22 +247,13 @@ def parse_frame(text: str) -> Frame:
                     raise FrameFormatError(part_line, "'end' takes no arguments")
                 if expect == "H":
                     d.h_line = part_line
-                    d.h_elems = [_int(t, part_line, "H element") for t in part[1:]]
+                    d.h_elems = _ints(part[1:], part_line, "H element")
                 elif expect == "K":
                     d.k_line = part_line
-                    d.k_elems = [_int(t, part_line, "K element") for t in part[1:]]
+                    d.k_elems = _ints(part[1:], part_line, "K element")
                 elif expect == "map":
                     d.map_line = part_line
-                    for token in part[1:]:
-                        h_part, sep, k_part = token.partition(":")
-                        if not sep:
-                            raise FrameFormatError(part_line, f"map entry {token!r} lacks ':'")
-                        d.entries.append(
-                            (
-                                _int(h_part, part_line, "map representative"),
-                                _int(k_part, part_line, "map image"),
-                            )
-                        )
+                    d.entries = _map_entries(part[1:], part_line)
             directives.append(d)
         else:
             raise FrameFormatError(line, f"unknown directive {keyword!r}")
@@ -320,8 +341,7 @@ def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord
     fault = map_defect(mapping, k_sys.count)
     if fault is not None:
         raise FrameFormatError(d.map_line, f"map is not a quotient isomorphism: {fault}")
-    image_order = CosetSystem(k_sys.subgroup, tuple(k_sys.cosets[i] for i in mapping))
-    return IsoRecord(d.x, d.y, h_sys, image_order)
+    return IsoRecord(d.x, d.y, h_sys, k_sys.permuted(mapping))
 
 
 def emit_frame(frame: Frame) -> str:

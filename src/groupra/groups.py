@@ -94,6 +94,11 @@ class FiniteGroup:
     0..order-1, index 0 is a two-sided identity and ``inverse`` really
     inverts.  Associativity is *not* re-verified here; build through
     :func:`validate_table` when the table comes from outside.
+
+    A group keeps what it has proved about its table: the coset systems of
+    its normal subgroups (``_cosets``, filled by enumerate_cosets) and its
+    greedy generating set.  ``relabelled`` gives the same table under
+    another label with those proofs shared, not redone.
     """
 
     order: int
@@ -131,6 +136,18 @@ class FiniteGroup:
     def _generating_set(self) -> list[int]:
         """The greedy generating set of the whole group (_generators)."""
         return _generators(self.op, full_mask(self.order))
+
+    def relabelled(self, label: str) -> FiniteGroup:
+        """This group under another label, sharing its proofs.
+
+        The copy holds the same table, the same ``_cosets`` dict and, once
+        picked, the same generating set, so a subgroup proved normal in one
+        is proved in both.  The table is not checked again.  Only proofs
+        that succeed are kept, so an error raised on the copy names its label.
+        """
+        copy = object.__new__(FiniteGroup)
+        copy.__dict__.update(self.__dict__, label=label)
+        return copy
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -248,7 +265,8 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
         p = list(range(n))
         p[0], p[ident] = ident, 0
         rows = [[p[rows[p[i]][p[j]]] for j in range(n)] for i in range(n)]
-    if _assoc_fault(rows, _generators(rows, full_mask(n))) is not None:
+    gens = _generators(rows, full_mask(n))
+    if _assoc_fault(rows, gens) is not None:
         i, j, k = _assoc_fault(rows, range(n))
         raise GroupTableError(
             f"not associative at ({i},{j},{k}): "
@@ -263,7 +281,9 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
         if 0 not in row:
             raise GroupTableError(f"element {i} has no two-sided inverse")
         inverse.append(row.index(0))
-    return FiniteGroup(n, tuple(tuple(r) for r in rows), tuple(inverse), label)
+    g = FiniteGroup(n, tuple(tuple(r) for r in rows), tuple(inverse), label)
+    g.__dict__["_generating_set"] = gens  # Light's test picked them; keep, not re-pick
+    return g
 
 
 def subgroup_defect(g: FiniteGroup, h: Mask) -> Optional[str]:
@@ -330,6 +350,10 @@ class CosetSystem:
     element outside the table, negative ones included.  Both are built once
     per system, on first use, and are the one place every layer reads
     element-to-coset lookups and representatives from.
+
+    ``permuted`` lists a proven system's cosets in another order, the image
+    order of a quotient isomorphism; it reads both tables through the
+    permutation instead of building them again from the masks.
     """
 
     subgroup: Mask
@@ -367,6 +391,28 @@ class CosetSystem:
                 where[low.bit_length() - 1] = i
                 c ^= low
         return where
+
+    def permuted(self, mapping: Sequence[int]) -> CosetSystem:
+        """The system whose coset i is this system's coset mapping[i].
+
+        mapping must be a bijection of 0..count-1 that fixes 0, as
+        map_defect checks; the caller checks it, and the new system's
+        cosets are not checked again.  Its ``reps`` and ``_where`` are this
+        system's, read through mapping and its inverse.
+        """
+        image = object.__new__(CosetSystem)
+        # position[c] is coset c's place in the new order; position[-1] stays -1,
+        # so an element in no coset stays in none
+        position = [-1] * (len(mapping) + 1)
+        for i, c in enumerate(mapping):
+            position[c] = i
+        image.__dict__.update(
+            subgroup=self.subgroup,
+            cosets=tuple(map(self.cosets.__getitem__, mapping)),
+            reps=tuple(map(self.reps.__getitem__, mapping)),
+            _where=list(map(position.__getitem__, self._where)),
+        )
+        return image
 
     def index_of(self, coset: Mask) -> int:
         """Position of a coset mask in this enumeration."""
@@ -553,6 +599,5 @@ def check_quotient_iso(
         raise IncompatibleQuotientsError(f"quotient orders differ: {hs.count} vs {ks.count}")
     witness = map_defect(mapping, hs.count)
     if witness is None:
-        image = CosetSystem(ks.subgroup, tuple(ks.cosets[i] for i in mapping))
-        witness = homomorphism_defect(gx, hs, gy, image)
+        witness = homomorphism_defect(gx, hs, gy, ks.permuted(mapping))
     return IsoCheck(witness is None, witness)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groupra.builders import build_cyclic_frame, build_power_frame, merge_frames
 from groupra.errors import FrameFormatError
-from groupra.fileformat import emit_frame, parse_frame
+from groupra.fileformat import _content_lines, emit_frame, parse_frame
 from groupra.frames import Frame
 from groupra.groups import MAX_GROUP_ORDER, enumerate_cosets, make_cyclic, mask_of, validate_table
 
@@ -621,12 +621,10 @@ def test_parse_proves_each_subgroup_once_per_group(monkeypatch):
         lambda g, h: proofs.append((g.label, h)) or real(g, h),
     )
     assert parse_frame(text) == frame
-    # H of (0,1) in Z6, K in Z9, and {0,1} in each of the three Klein copies,
-    # where Tb holds both the K of (a,b) and the H of (b,c)
+    # H of (0,1) in Z6, K in Z9, and {0,1} once for the three Klein copies,
+    # which are one text and share what Ta proved
     assert sorted(proofs) == [
         ("Ta", 0b11),
-        ("Tb", 0b11),
-        ("Tc", 0b11),
         ("Z6", mask_of([0, 3])),
         ("Z9", mask_of([0, 3, 6])),
     ]
@@ -687,6 +685,103 @@ def test_non_subgroup_on_the_second_of_two_identical_tables_names_its_id(monkeyp
         "[0, 1, 2] is not a subgroup of T1: product 1*2 = 3 falls outside the subset",
     )
     assert calls == ["T0"]
+
+
+@pytest.mark.parametrize(
+    "h, k, entries, line, reason",
+    [
+        ("0 x", "0 3 6", "0:0 1:1 2:2", 5, "H element must be an integer, got 'x'"),
+        ("0 3", "0 3.0 6", "0:0 1:1 2:2", 6, "K element must be an integer, got '3.0'"),
+        ("0 3", "0 3 6", "0:0 y:1 2:2", 7, "map representative must be an integer, got 'y'"),
+        ("0 3", "0 3 6", "0:0 1:1 2:z", 7, "map image must be an integer, got 'z'"),
+        ("0 3", "0 3 6", "0:0 1:1:1 2:2", 7, "map image must be an integer, got '1:1'"),
+        ("0 3", "0 3 6", "0:0 1: 2:2", 7, "map image must be an integer, got ''"),
+        ("0 3", "0 3 6", "0:0 :1 2:2", 7, "map representative must be an integer, got ''"),
+        # the first bad token in the line is the one named
+        ("0 3", "0 3 6", "0:0 1 2:x", 7, "map entry '1' lacks ':'"),
+        ("0 3", "0 3 6", "0:0 1:x 2", 7, "map image must be an integer, got 'x'"),
+        ("0 3", "0 3 6", "x:0 1:y 2:2", 7, "map representative must be an integer, got 'x'"),
+    ],
+)
+def test_error_bad_token_in_h_k_or_map(h, k, entries, line, reason):
+    text = lines(
+        "group 0 cyclic 6",
+        "group 1 cyclic 9",
+        "block 0 1",
+        "iso 0 1",
+        f"H {h}",
+        f"K {k}",
+        f"map {entries}",
+        "end",
+    )
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(text)
+    assert (info.value.line, info.value.reason) == (line, reason)
+
+
+def reference_content_lines(text):
+    """The reader's line splitter as it was before it kept one split per line."""
+    out = []
+    for i, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((i, body.split()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        Z6Z9,
+        "",
+        "\n\n",
+        "# only a comment\n   # and another\n#\n",
+        "group 0 cyclic 6#glued\nblock 0 # spaced\n1#2 3\n#\n",
+        "a b\r\nc\rd\n\r\n\re f\r",
+        "group 0 cyclic 6\f\nblock\f0\n\f\n",
+        "x\x1cy z\x1d\n\x1c\n\u2028\nu\u2028v # w\u2028x\n\x85 \u2029 t\n",
+        "0 1\n1 0\n0 1\n1 0\n0 1\n  0 1\n0  1\n# 0 1\n0 1 # note\n0 1",
+        "\t lead and trail \t \n\u00a0nbsp\u00a0\n",
+    ],
+)
+def test_content_lines_match_the_per_line_split(text):
+    assert _content_lines(text) == reference_content_lines(text)
+
+
+def test_equal_lines_share_one_token_list():
+    got = _content_lines("0 1\n1 0\n0 1\n1 0\n0 1 # note\n")
+    assert got[0][1] is got[2][1]
+    assert got[1][1] is got[3][1]
+    assert got[4][1] == got[0][1]
+
+
+def test_power_frame_copies_differing_in_spacing_parse_equal(monkeypatch):
+    frame = build_power_frame(validate_table(KLEIN, label="V4"), 0b11, ["a", "b", "c"])
+    text = emit_frame(frame)
+    rows = [" ".join(map(str, row)) for row in KLEIN]
+    respaced = ["  " + row.replace(" ", "\t ") + " # row" for row in rows]
+    # the second and third copies keep the first's tokens, in other spacing
+    body = text.split("group b table 4\n", 1)[1]
+    for row, new in zip(rows, respaced):
+        body = body.replace(row + "\n", new + "\n")
+    edited = text.split("group b table 4\n", 1)[0] + "# copy b\ngroup  b table 4\n" + body
+    assert edited != text
+    calls = count_validate_table(monkeypatch)
+    assert parse_frame(edited) == frame
+    assert calls == ["Ta"]
+
+
+def test_power_frame_copies_share_their_proofs():
+    frame = parse_frame(
+        emit_frame(build_power_frame(validate_table(KLEIN, label="V4"), 0b11, ["a", "b", "c"]))
+    )
+    ga, gb, gc = (frame.groups[x] for x in "abc")
+    assert (ga.label, gb.label, gc.label) == ("Ta", "Tb", "Tc")
+    assert ga._cosets is gb._cosets is gc._cosets
+    assert ga._generating_set is gb._generating_set is gc._generating_set
+    assert enumerate_cosets(gc, 0b11) is enumerate_cosets(ga, 0b11)
+    for record in frame.isos.values():
+        assert record.h is enumerate_cosets(ga, 0b11)
 
 
 def test_error_object_carries_line_and_reason():

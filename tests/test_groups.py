@@ -664,6 +664,77 @@ def test_check_quotient_iso_matches_quotient_tables():
     assert verdicts == 3718
 
 
+def test_permuted_system_equals_the_validated_constructor():
+    """Every bijection fixing 0 of every quotient of the corpus with at most 6 cosets."""
+    systems = 0
+    seen = set()
+    for _, _, gy, k, _, qy, _ in quotient_iso_corpus():
+        if (id(gy), k) in seen or qy.order > 6:
+            continue
+        seen.add((id(gy), k))
+        ks = enumerate_cosets(gy, k)
+        for rest in itertools.permutations(range(1, ks.count)):
+            mapping = (0, *rest)
+            built = CosetSystem(k, tuple(ks.cosets[i] for i in mapping))
+            image = ks.permuted(mapping)
+            assert image == built
+            assert (image.cosets, image.reps, image._where) == (
+                built.cosets,
+                built.reps,
+                built._where,
+            )
+            assert [image.coset_of(e) for e in gy.elements()] == [
+                built.coset_of(e) for e in gy.elements()
+            ]
+            for e in (-1, -gy.order, gy.order, gy.order + 1):
+                refusal = f"^element {e} lies in no coset of this system$"
+                with pytest.raises(ValueError, match=refusal):
+                    image.coset_of(e)
+            systems += 1
+    assert systems == 269
+
+
+def test_permuted_partial_system_keeps_its_holes():
+    # the cosets {0,3} and {1,4} of Z6, without {2,5}: 2 lies in no coset
+    partial = CosetSystem(mask_of([0, 3]), (mask_of([0, 3]), mask_of([1, 4])))
+    image = partial.permuted([0, 1])
+    assert image._where == partial._where == [0, 1, -1, 0, 1]
+    with pytest.raises(ValueError, match="^element 2 lies in no coset of this system$"):
+        image.coset_of(2)
+
+
+def test_relabelled_group_shares_its_proofs():
+    g = validate_table(KLEIN, label="Ta")
+    system = enumerate_cosets(g, mask_of([0, 1]))
+    copy = g.relabelled("Tb")
+    assert (copy.label, g.label) == ("Tb", "Ta")
+    assert copy == g and copy.op is g.op and copy.inverse is g.inverse
+    assert copy._cosets is g._cosets
+    assert copy._generating_set is g._generating_set
+    assert enumerate_cosets(copy, mask_of([0, 1])) is system
+    # a new proof on either is kept for both; a failed one names its own label
+    assert enumerate_cosets(copy, mask_of([0, 2])) is enumerate_cosets(g, mask_of([0, 2]))
+    with pytest.raises(NotASubgroupError, match="is not a subgroup of Tb:"):
+        enumerate_cosets(copy, mask_of([0, 1, 2]))
+    with pytest.raises(NotASubgroupError, match="is not a subgroup of Ta:"):
+        enumerate_cosets(g, mask_of([0, 1, 2]))
+
+
+def test_validate_table_keeps_the_generators_of_its_proof(monkeypatch):
+    import groupra.groups
+
+    picks = []
+    real = groupra.groups._generators
+    monkeypatch.setattr(
+        groupra.groups, "_generators", lambda op, mask: picks.append(mask) or real(op, mask)
+    )
+    table = [[(a + b) % 3 + 3 * ((a // 3 + b // 3) % 2) for b in range(6)] for a in range(6)]
+    g = validate_table(table)
+    assert picks == [full_mask(6)]
+    assert g._generating_set == real(g.op, full_mask(6)) == [1, 3]
+    assert picks == [full_mask(6)]
+
+
 def test_frame_accepts_exactly_the_quotient_isos():
     """Each bijection fixing coset 0, as an image-order record of a two-group frame."""
     accepted = rejected = 0
