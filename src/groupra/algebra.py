@@ -99,54 +99,67 @@ def atom_relation_of(
 
 
 class FrameElement:
-    """A union of atoms of one frame, kept as an atom-index set."""
+    """A union of atoms of one frame, kept as an atom-index set.
 
-    __slots__ = ("algebra", "atoms")
+    Elements are read-only values: they hash by frame and atoms, and an
+    algebra hands its one empty element to every caller (see
+    GroupRelationAlgebra.zero), so neither field can be assigned.
+    """
+
+    __slots__ = ("_algebra", "_atoms")
 
     def __init__(self, algebra: "GroupRelationAlgebra", atoms: frozenset[AtomIndex]):
-        self.algebra = algebra
-        self.atoms = atoms
+        self._algebra = algebra
+        self._atoms = atoms
+
+    @property
+    def algebra(self) -> "GroupRelationAlgebra":
+        return self._algebra
+
+    @property
+    def atoms(self) -> frozenset[AtomIndex]:
+        return self._atoms
 
     def _require_same(self, other: "FrameElement") -> None:
-        if not isinstance(other, FrameElement) or self.algebra.frame is not other.algebra.frame:
+        if not isinstance(other, FrameElement) or self._algebra.frame is not other._algebra.frame:
             raise FrameMismatchError("elements belong to different frames")
 
     def union(self, other: "FrameElement") -> "FrameElement":
         self._require_same(other)
-        return FrameElement(self.algebra, self.atoms | other.atoms)
+        return FrameElement(self._algebra, self._atoms | other._atoms)
 
     def intersect(self, other: "FrameElement") -> "FrameElement":
         self._require_same(other)
-        return FrameElement(self.algebra, self.atoms & other.atoms)
+        return FrameElement(self._algebra, self._atoms & other._atoms)
 
     def complement(self) -> "FrameElement":
-        return FrameElement(self.algebra, self.algebra.all_atoms - self.atoms)
+        return FrameElement(self._algebra, self._algebra.all_atoms - self._atoms)
 
     __or__ = union
     __and__ = intersect
 
     def converse(self) -> "FrameElement":
-        return self.algebra.converse(self)
+        return self._algebra.converse(self)
 
     def compose(self, other: "FrameElement") -> "FrameElement":
-        return self.algebra.compose(self, other)
+        return self._algebra.compose(self, other)
 
     def relation(self) -> ConcreteRelation:
-        return self.algebra.materialize(self)
+        return self._algebra.materialize(self)
 
     def sorted_atoms(self) -> list[AtomIndex]:
-        return sorted(self.atoms, key=self.algebra.atom_key)
+        return sorted(self._atoms, key=self._algebra.atom_key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameElement):
             return NotImplemented
-        return self.algebra.frame is other.algebra.frame and self.atoms == other.atoms
+        return self._algebra.frame is other._algebra.frame and self._atoms == other._atoms
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra.frame), self.atoms))
+        return hash((id(self._algebra.frame), self._atoms))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._atoms)
 
     def __repr__(self) -> str:
         inner = ",".join(a.label() for a in self.sorted_atoms())
@@ -169,6 +182,9 @@ class MeasureReport:
 
 class GroupRelationAlgebra:
     """Atom-level operations over a frame that already passed a check."""
+
+    # the empty element, set on first use by zero()
+    _zero: FrameElement | None = None
 
     def __init__(self, frame: Frame):
         report = frame.last_check
@@ -215,7 +231,17 @@ class GroupRelationAlgebra:
         return FrameElement(self, out)
 
     def zero(self) -> FrameElement:
-        return FrameElement(self, frozenset())
+        """The empty element, one object per algebra, built on first use.
+
+        compose_atoms returns it for every pair whose middles differ.  It is
+        not built in __init__: an algebra that holds an element of its own
+        is a reference cycle, which only the cyclic collector frees, and
+        most algebras (one point query, say) never ask for it.
+        """
+        empty = self._zero
+        if empty is None:
+            empty = self._zero = FrameElement(self, _NO_ATOMS)
+        return empty
 
     def unit(self) -> FrameElement:
         return FrameElement(self, self.all_atoms)
@@ -232,11 +258,19 @@ class GroupRelationAlgebra:
         return AtomIndex(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
-        """a;b, empty unless a.y == b.x; read off the rule of the triple (x,y,z)."""
+        """a;b, read off the rule of the triple (x,y,z) when a.y == b.x.
+
+        A composable pair gets a new element on each call.  A pair whose
+        middles differ, most pairs of a frame with several groups, gets the
+        algebra's one empty element (zero()) once the atom gate has passed
+        both atoms.  That element is built on first use, not in __init__: an
+        eager one would make every algebra a reference cycle, even one that
+        composes only composable pairs.
+        """
         self._require_atom(a)
         self._require_atom(b)
         if a.y != b.x:
-            return FrameElement(self, _NO_ATOMS)
+            return self.zero()
         rule = self._rules.get((a.x, a.y, b.y))
         if rule is None:
             rule = self._rule(a.x, a.y, b.y)
@@ -297,13 +331,13 @@ class GroupRelationAlgebra:
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:
-        return FrameElement(self, frozenset(self.converse_atom(a) for a in e.atoms))
+        return FrameElement(self, frozenset(self.converse_atom(a) for a in e._atoms))
 
     def compose(self, e1: FrameElement, e2: FrameElement) -> FrameElement:
         """The union of a;b over the atoms a of e1 and b of e2, read one
         related triple at a time (see _compose_by_triple)."""
         e1._require_same(e2)
-        return FrameElement(self, self._compose_by_triple(e1.atoms, e2.atoms))
+        return FrameElement(self, self._compose_by_triple(e1._atoms, e2._atoms))
 
     def _compose_by_triple(
         self, left: frozenset[AtomIndex], right: frozenset[AtomIndex]
@@ -346,7 +380,7 @@ class GroupRelationAlgebra:
 
     def materialize(self, e: FrameElement) -> ConcreteRelation:
         rows = [0] * self.base.size
-        for a in e.atoms:
+        for a in e._atoms:
             for i, row in enumerate(self.atom_relation(a).rows):
                 rows[i] |= row
         return ConcreteRelation(self.base.size, tuple(rows))

@@ -1,13 +1,15 @@
 """Tests for the symbolic algebra: atoms, operations, materialization, reports."""
 
+import gc
 import itertools
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupra.algebra import AtomIndex, GroupRelationAlgebra
+from groupra.algebra import AtomIndex, FrameElement, GroupRelationAlgebra
 from groupra.builders import build_complex_algebra_frame, build_cyclic_frame, build_power_frame
 from groupra.errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
 from groupra.fileformat import emit_frame, parse_frame
@@ -183,6 +185,90 @@ def test_compose_atoms_examples():
 def test_compose_atoms_middle_mismatch_is_empty():
     got = ALG.compose_atoms(AtomIndex("0", "1", 1), AtomIndex("0", "1", 1))
     assert len(got) == 0
+
+
+def test_non_composable_pairs_share_the_empty_element(monkeypatch):
+    alg = fresh_running_algebra()
+    pairs = [(a, b) for a in alg.atoms() for b in alg.atoms() if a.y != b.x]
+    assert len(pairs) == 2 * (6 + 3) * (3 + 9)
+    first = alg.compose_atoms(*pairs[0])
+    assert first == alg.zero() and len(first) == 0
+    built = []
+    real_init = FrameElement.__init__
+
+    def counting_init(self, algebra, atoms):
+        built.append(atoms)
+        real_init(self, algebra, atoms)
+
+    monkeypatch.setattr(FrameElement, "__init__", counting_init)
+    assert all(alg.compose_atoms(a, b) is first for a, b in pairs)
+    assert all(alg.fast_compose_subidentity(a, b) is first for a, b in pairs)
+    assert built == []
+    # a composable pair still gets an element of its own on each call
+    a, b = AtomIndex("0", "1", 0), AtomIndex("1", "0", 0)
+    assert alg.compose_atoms(a, b) is not alg.compose_atoms(a, b)
+    assert len(built) == 2
+
+
+def test_atoms_are_gated_before_the_empty_shortcut():
+    alg = fresh_running_algebra()
+    atom = AtomIndex("0", "1", 1)
+    alg.zero()
+    # each bad value is paired with an atom it could not compose with
+    for bad, message in [
+        (("0", "1", 1), r"\('0', '1', 1\) is not an AtomIndex"),
+        (AtomIndex("0", "1", 7), r"AtomIndex\(x='0', y='1', alpha=7\) is not an atom"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            alg.compose_atoms(bad, atom)
+        with pytest.raises(ValueError, match=message):
+            alg.compose_atoms(atom, bad)
+
+
+def test_composable_pairs_leave_the_algebra_acyclic(monkeypatch, capsys):
+    # Only the cyclic collector frees an algebra that holds an element of its
+    # own, so with it off an algebra must die with its last reference.
+    import groupra.cli
+
+    refs = []
+    real_load = groupra.cli._load_algebra
+
+    def load(path):
+        alg = real_load(path)
+        refs.append(weakref.ref(alg))
+        return alg
+
+    monkeypatch.setattr(groupra.cli, "_load_algebra", load)
+    frame = str(Path(__file__).resolve().parent.parent / "frames" / "z6z9.frame")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert groupra.cli.main(["op", frame, "comp", "0", "1", "1", "0", "1", "--check"]) == 0
+        assert capsys.readouterr().out.endswith("oracle: MATCH\n")
+        alg = fresh_running_algebra()
+        refs.append(weakref.ref(alg))
+        for a in alg.atoms():
+            for b in alg.atoms():
+                if a.y == b.x:
+                    alg.compose_atoms(a, b)
+        del alg
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("field", ["atoms", "algebra"])
+def test_element_fields_are_read_only(field):
+    alg = fresh_running_algebra()
+    e = alg.element([AtomIndex("0", "0", 1)])
+    held = {e}
+    with pytest.raises(AttributeError):
+        setattr(e, field, getattr(alg.unit(), field))
+    assert e in held
+    with pytest.raises(AttributeError):
+        setattr(alg.zero(), field, getattr(alg.unit(), field))
+    assert len(alg.compose_atoms(AtomIndex("0", "1", 1), AtomIndex("0", "1", 1))) == 0
 
 
 def test_compose_atoms_cached():
