@@ -116,11 +116,21 @@ def _cmd_op(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
     atoms = alg.atoms()
-    print("cols: " + " ".join(a.label() for a in atoms))
+    # each cell prints as repr would, from labels and sort keys made once
+    label = {a: a.label() for a in atoms}
+    key = {a: alg.atom_key(a) for a in atoms}.__getitem__
+    empty = alg.zero()
+
+    def cell(a: AtomIndex, b: AtomIndex) -> str:
+        product = alg.compose_atoms(a, b)
+        if product is empty:
+            return "{}"
+        return "{" + ",".join(label[c] for c in sorted(product.atoms, key=key)) + "}"
+
+    print("cols: " + " ".join(label.values()))
     for a in atoms:
-        cells = [repr(alg.compose_atoms(a, b)) for b in atoms]
-        conv = alg.converse_atom(a)
-        print(f"{a.label()} conv {conv.label()} : " + " ".join(cells))
+        cells = [cell(a, b) for b in atoms]
+        print(f"{label[a]} conv {label[alg.converse_atom(a)]} : " + " ".join(cells))
     return 0
 
 

@@ -27,16 +27,20 @@ the first failing pair of a map it rejects, which is reported at that iso's
 ``map`` line.
 
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
-that line, before any table row is read or any group is built.  Each
-distinct line is split into tokens once (``_content_lines``), so the rows
-of a repeated table are split once.  Each distinct group declaration is
-built once per file: ``cyclic n`` once per n, and a table once per
-distinct text (its rows as tokens), converted to integers and validated
-once.  Every table id still gets its own FiniteGroup, labelled T<id>
-(FiniteGroup.relabelled): identical tables share their rows and also
-their proofs, the coset systems of the subgroups proved normal and the
-generating set, so a subgroup is proved once per distinct table.  A proof
-that fails is not kept, so each error names the id it is about.
+that line, before any table row is read or any group is built.  The
+reader keeps each line's text before its comment, equal lines sharing one
+string (``_content_bodies``), and splits each distinct line once: a
+directive into its tokens, a table row into its text in single spaces and
+its entries.  A row is converted to integers when it is first read, so
+its tokens live only that long, and none is kept while a table is proved
+or the Frame is built.  Each distinct group declaration is built once per
+file: ``cyclic n`` once per n, and a table once per distinct text (its
+rows in single spaces), validated once.  Every table id still gets its
+own FiniteGroup, labelled T<id> (FiniteGroup.relabelled): identical
+tables share their rows and also their proofs, the coset systems of the
+subgroups proved normal and the generating set, so a subgroup is proved
+once per distinct table.  A proof that fails is not kept, so each error
+names the id it is about.
 
 Files are read as UTF-8 (``_read_text``), and a byte that does not decode
 is refused at its line.  Lines end at \\r\\n, \\r or \\n and nowhere else
@@ -123,11 +127,6 @@ def _map_entries(tokens: list[str], line: int) -> list[tuple[int, int]]:
     return entries
 
 
-def _table_entries(rows: list[tuple[int, list[str]]]) -> list[list[int]]:
-    """Table rows as integers; a FrameFormatError names the first bad entry."""
-    return [_ints(tokens, line, "table entry") for line, tokens in rows]
-
-
 def _read_text(path: str) -> str:
     """A file's text; a byte that is not UTF-8 is a FrameFormatError at its line."""
     data = Path(path).read_bytes()
@@ -149,26 +148,41 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def _content_bodies(text: str) -> list[tuple[int, str]]:
+    """(line number, body) of each line that is not blank once its comment goes.
+
+    A line's body is its text before any ``#``; equal lines share one body.
+    """
+    out = []
+    bodies: dict[str, str] = {}
+    for i, raw in enumerate(_lines(text), 1):
+        body = bodies.get(raw)
+        if body is None:
+            body = bodies[raw] = raw.split("#", 1)[0]
+        if body and not body.isspace():
+            out.append((i, body))
+    return out
+
+
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of each line that is not blank once its comment goes.
 
     Each distinct line is split once, and equal lines share one token list,
     which no caller mutates.
     """
-    out = []
     split: dict[str, list[str]] = {}
-    for i, raw in enumerate(_lines(text), 1):
-        tokens = split.get(raw)
+    out = []
+    for i, body in _content_bodies(text):
+        tokens = split.get(body)
         if tokens is None:
-            tokens = split[raw] = raw.split("#", 1)[0].split()
-        if tokens:
-            out.append((i, tokens))
+            tokens = split[body] = body.split()
+        out.append((i, tokens))
     return out
 
 
 def parse_frame(text: str) -> Frame:
     """Parse a frame file; FrameFormatError carries the offending line."""
-    lines = _content_lines(text)
+    lines = _content_bodies(text)
     pos = 0
     groups: dict[str, FiniteGroup] = {}
     group_lines: dict[str, int] = {}
@@ -176,9 +190,13 @@ def parse_frame(text: str) -> Frame:
     directives: list[_IsoDirective] = []
     # one build per distinct declaration: cyclic groups by order, tables by text
     cyclic: dict[int, FiniteGroup] = {}
-    tables: dict[tuple[tuple[str, ...], ...], FiniteGroup] = {}
+    tables: dict[tuple[str, ...], FiniteGroup] = {}
+    # one split per distinct line: a directive into its tokens, a table row
+    # into its text in single spaces and its entries
+    split: dict[str, list[str]] = {}
+    table_rows: dict[str, tuple[str, list[int]]] = {}
 
-    def take() -> tuple[int, list[str]]:
+    def take_body() -> tuple[int, str]:
         nonlocal pos
         if pos >= len(lines):
             last = lines[-1][0] if lines else 1
@@ -186,6 +204,44 @@ def parse_frame(text: str) -> Frame:
         entry = lines[pos]
         pos += 1
         return entry
+
+    def take() -> tuple[int, list[str]]:
+        line, body = take_body()
+        tokens = split.get(body)
+        if tokens is None:
+            tokens = split[body] = body.split()
+        return line, tokens
+
+    def take_table(n: int, line: int, label: str) -> FiniteGroup:
+        """The group of the next n rows, built once per distinct table.
+
+        A table is known by its rows' texts in single spaces.  Each row's
+        length is checked before its entries, and both before the next row
+        is read, so the first fault in reading order is the one reported.
+        """
+        rows = []
+        for _ in range(n):
+            row_line, body = take_body()
+            row = table_rows.get(body)
+            if row is None:
+                tokens = body.split()
+                count = len(tokens)
+                if count == n:
+                    row = table_rows[body] = (" ".join(tokens), _ints(tokens, row_line, "table entry"))
+            else:
+                count = len(row[1])
+            if count != n:
+                raise FrameFormatError(row_line, f"table row has {count} entries, expected {n}")
+            rows.append(row)
+        table_text = tuple(text for text, _ in rows)
+        shared = tables.get(table_text)
+        if shared is None:
+            try:
+                shared = validate_table([entries for _, entries in rows], label)
+            except GroupTableError as exc:
+                raise FrameFormatError(line, f"not a group table: {exc}") from None
+            tables[table_text] = shared
+        return shared.relabelled(label)
 
     while pos < len(lines):
         line, tokens = take()
@@ -206,27 +262,7 @@ def parse_frame(text: str) -> Frame:
                     cyclic[n] = make_cyclic(n)
                 groups[gid] = cyclic[n]
             else:
-                rows: list[tuple[int, list[str]]] = []
-                try:
-                    for _ in range(n):
-                        row_line, row_tokens = take()
-                        if len(row_tokens) != n:
-                            raise FrameFormatError(
-                                row_line, f"table row has {len(row_tokens)} entries, expected {n}"
-                            )
-                        rows.append((row_line, row_tokens))
-                except FrameFormatError:
-                    _table_entries(rows)  # a bad entry above the fault is reported first
-                    raise
-                table_text = tuple(tuple(row_tokens) for _, row_tokens in rows)
-                shared = tables.get(table_text)
-                if shared is None:
-                    try:
-                        shared = validate_table(_table_entries(rows), f"T{gid}")
-                        tables[table_text] = shared
-                    except GroupTableError as exc:
-                        raise FrameFormatError(line, f"not a group table: {exc}") from None
-                groups[gid] = shared.relabelled(f"T{gid}")
+                groups[gid] = take_table(n, line, f"T{gid}")
             group_lines[gid] = line
         elif keyword == "block":
             if len(tokens) < 2:

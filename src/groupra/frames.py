@@ -25,6 +25,15 @@ P0 = K_xy*H_yz is the canonical system its group keeps, read in one place
 N0-cosets, its images, are read in one pass over a record's paired lists
 (_coarse_images); which M0-coset holds each H_xz-coset is answered in one
 place (_slots).
+
+Most of what a triple reads depends on one pair and one subgroup, not on
+the whole triple, so each sweep works it out once: a dict that lives only
+for the sweep keeps the records of each ordered pair, P0 by y and the masks
+of K_xy and H_yz, the images of each record on each P0, the products
+H_xy*H_xz and K_xz*K_yz by group and masks, and the text of each mask a
+violation prints.  Per triple remain the direct images of phi_xz (_slots)
+and the comparisons.  Nothing is kept once the sweep returns but the
+report.
 """
 
 from __future__ import annotations
@@ -321,48 +330,74 @@ class FrameCheckReport:
         return [head, *map(str, self.violations)]
 
 
-def _check_triple(frame: Frame, x: str, y: str, z: str, both: bool) -> list[Violation]:
+def _once(facts: dict, key: tuple, make: Callable, *args):
+    """facts[key], made by make(*args) the first time the sweep asks."""
+    value = facts.get(key)
+    if value is None:
+        value = facts[key] = make(*args)
+    return value
+
+
+def _check_triple(
+    frame: Frame, x: str, y: str, z: str, both: bool, facts: dict
+) -> list[Violation]:
     """Conditions (iii) and (iv) at one triple, read off ``frame.records``.
 
     (iii) holds iff M0 = H_xy*H_xz (and, with ``both``, N0 = K_xz*K_yz);
     (iv) iff H_xz lies inside M0 and phi_xz, its images gathered by _slots,
     maps each M0-coset onto the matching N0-coset.  Both subgroup products
-    are read off the records' coset lists (_times_normal).
+    are read off the records' coset lists (_times_normal).  Every fact that
+    depends on fewer than all three indices is read through ``facts``, the
+    sweep's own dict: the records of a pair, P0, the M0- and N0-cosets, the
+    two products and the text of each mask a violation prints.
     """
-    records = frame.records
-    rxy, ryx, rxz, ryz = records[(x, y)], records[(y, x)], records[(x, z)], records[(y, z)]
-    p = _p0(frame, x, y, z)
-    m, n = _coarse_images(ryx, p), _coarse_images(ryz, p)
+    rxy, ryx, rxz, ryz = facts[(x, y)], facts[(y, x)], facts[(x, z)], facts[(y, z)]
+    h_xz = rxz.h.subgroup
+    p = _once(facts, ("P0", y, ryx.h.subgroup, ryz.h.subgroup), _p0, frame, x, y, z)
+    m = _once(facts, ("image", y, x, p.subgroup), _coarse_images, ryx, p)
+    n = _once(facts, ("image", y, z, p.subgroup), _coarse_images, ryz, p)
     found = []
-    hh = _times_normal(rxz.h.subgroup, rxy.h)
+    hh = _once(facts, ("product", x, h_xz, rxy.h.subgroup), _times_normal, h_xz, rxy.h)
     if m[0] != hh:
         lhs = try_image(rxy, hh)  # only the report needs phi_xy(H_xy*H_xz) itself
-        shown = f"{_fmt_mask(lhs)}, expected {_fmt_mask(p.subgroup)}"
+        shown = f"{_text(facts, lhs)}, expected {_text(facts, p.subgroup)}"
         found.append(("iii", f"image of H_xy*H_xz is {shown}"))
     if both:
-        kk = _times_normal(rxz.k.subgroup, ryz.k)
+        k_xz = rxz.k.subgroup
+        kk = _once(facts, ("product", z, k_xz, ryz.k.subgroup), _times_normal, k_xz, ryz.k)
         if n[0] != kk:
-            shown = f"{_fmt_mask(n[0])}, expected {_fmt_mask(kk)}"
+            shown = f"{_text(facts, n[0])}, expected {_text(facts, kk)}"
             found.append(("iii", f"image of K_xy*H_yz is {shown}"))
-    if not is_subset(rxz.h.subgroup, m[0]):
-        shown = f"{_fmt_mask(rxz.h.subgroup)} is not inside M0 = {_fmt_mask(m[0])}"
+    if not is_subset(h_xz, m[0]):
+        shown = f"{_text(facts, h_xz)} is not inside M0 = {_text(facts, m[0])}"
         found.append(("iv", f"H_xz = {shown}"))
     else:
-        direct = [0] * p.count
+        direct = [0] * len(m)
         for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
             direct[j] |= kc
-        for mc, img, nc in zip(m, direct, n):
-            if img != nc:
-                shown = f"{_fmt_mask(mc)} is {_fmt_mask(img)}, induced route gives {_fmt_mask(nc)}"
-                found.append(("iv", f"direct image of {shown}"))
+        if direct != n:
+            for mc, img, nc in zip(m, direct, n):
+                if img != nc:
+                    shown = (
+                        f"{_text(facts, mc)} is {_text(facts, img)}, "
+                        f"induced route gives {_text(facts, nc)}"
+                    )
+                    found.append(("iv", f"direct image of {shown}"))
     return [Violation(condition, (x, y, z), detail) for condition, detail in found]
 
 
+def _text(facts: dict, mask: Optional[Mask]) -> str:
+    return _once(facts, ("text", mask), _fmt_mask, mask)
+
+
 def _sweep(frame: Frame, mode: str, triples: Callable, both: bool) -> FrameCheckReport:
+    # what _check_triple works out once: the records under their pairs,
+    # every other fact under a tagged key; dropped when the sweep returns
+    facts: dict = dict(frame.records)
     violations: list[Violation] = []
     for block in frame.blocks:
         for x, y, z in triples(block):
-            violations += _check_triple(frame, x, y, z, both)
+            violations += _check_triple(frame, x, y, z, both, facts)
     report = FrameCheckReport(mode, tuple(violations))
     frame._verdict = report
     return report
@@ -373,7 +408,10 @@ def check_frame_full(frame: Frame) -> FrameCheckReport:
 
     Every ordered triple of a block is checked, repeated and descending
     indices included.  Conditions (i) and (ii) need no check: Frame builds
-    every square and reverse record itself.
+    every square and reverse record itself.  The records of each ordered
+    pair, each P0, the M0- and N0-cosets of each record on each P0, each
+    subgroup product and each printed mask text are worked out once per
+    sweep (see the module docstring).
     """
     return _sweep(frame, "full", lambda block: product(block, repeat=3), both=False)
 
@@ -383,6 +421,8 @@ def check_frame_reduced(frame: Frame) -> FrameCheckReport:
 
     Conditions (iii) and (iv) are checked for x < y < z, with a second image
     equation that the full sweep would reach through descending triples.
-    Conditions (i) and (ii) hold by construction, as in the full check.
+    Conditions (i) and (ii) hold by construction, as in the full check, and
+    the facts its triples share are worked out once per sweep in the same
+    way.
     """
     return _sweep(frame, "reduced", lambda block: combinations(block, 3), both=True)

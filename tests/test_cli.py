@@ -20,6 +20,7 @@ from groupra.algebra import AtomIndex, GroupRelationAlgebra
 from groupra.builders import MAX_POWER_COPIES, build_cyclic_frame, build_power_frame, merge_frames
 from groupra.cli import _build_parser, main
 from groupra.fileformat import emit_frame, parse_frame
+from groupra.frames import check_frame_reduced
 from groupra.groups import MAX_GROUP_ORDER, make_cyclic
 
 from tests.helpers import corrupt_map
@@ -255,6 +256,30 @@ def test_table_output(capsys, z6z9_file):
             assert cell == "{}"
     conv_of = {line.split(" ")[0]: line.split(" ")[2] for line in lines[1:]}
     assert conv_of["((0,1),1)"] == "((1,0),2)"
+
+
+def table_by_repr(path: str) -> str:
+    """What groupra table printed when every cell went through FrameElement.__repr__."""
+    frame = parse_frame(Path(path).read_text())
+    assert check_frame_reduced(frame).ok
+    alg = GroupRelationAlgebra(frame)
+    atoms = alg.atoms()
+    out = ["cols: " + " ".join(a.label() for a in atoms)]
+    for a in atoms:
+        cells = [repr(alg.compose_atoms(a, b)) for b in atoms]
+        out.append(f"{a.label()} conv {alg.converse_atom(a).label()} : " + " ".join(cells))
+    return "\n".join(out) + "\n"
+
+
+def test_table_prints_each_cell_as_its_repr(capsys, tmp_path):
+    z60 = tmp_path / "z60x4.frame"
+    kappa = {(i, j): 12 for i in range(4) for j in range(i + 1, 4)}
+    z60.write_text(emit_frame(build_cyclic_frame([60] * 4, kappa)))
+    shipped = sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    for path in [*map(str, shipped), str(z60)]:
+        code, out, err = run_cli(capsys, "table", path)
+        assert (code, err) == (0, ""), path
+        assert out == table_by_repr(path), path
 
 
 def test_measure_reports_a_broken_engine_as_a_semantic_failure(capsys, monkeypatch, z6z9_file):

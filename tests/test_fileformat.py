@@ -1,5 +1,7 @@
 """Tests for frame file parsing, emission, and the line-numbered errors."""
 
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -826,3 +828,29 @@ def test_mutated_shipped_frames_parse_or_fail_as_format_errors(text, rng):
         assert isinstance(parse_frame(" ".join(tokens)), Frame)
     except FrameFormatError:
         pass
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_a_table_is_proved_without_its_tokens(copies):
+    # D256, 512 elements: r^i s^j at index i + 256j
+    n = 256
+
+    def mul(a: int, b: int) -> int:
+        return (a % n + (-1) ** (a // n) * (b % n)) % n + n * ((a // n + b // n) % 2)
+
+    rows = [" ".join(str(mul(a, b)) for b in range(2 * n)) for a in range(2 * n)]
+    declarations = [line for i in range(copies) for line in (f"group {i} table 512", *rows)]
+    text = lines(*declarations, *(f"block {i}" for i in range(copies)))
+    split = [row.split() for row in rows]
+    token_bytes = sum(sys.getsizeof(t) for row in split for t in row) + sum(map(sys.getsizeof, split))
+    del split
+    tracemalloc.start()
+    try:
+        frame = parse_frame(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [g.order for g in frame.groups.values()] == [512] * copies
+    # the tokens of one copy alone are about 15.7 MB; kept while the table
+    # was converted and proved, the peak was 1.76 times that
+    assert peak < token_bytes, (peak, token_bytes)

@@ -607,3 +607,114 @@ def test_frame_refuses_an_iso_filed_under_an_unknown_index():
             Frame({"0": z6, "1": z9}, [["0", "1"]], isos)
         assert str(info.value) == f"isomorphism for unknown pair ({pair[0]},{pair[1]})"
         assert info.value.pair == pair
+
+
+# The frame of the failing-check smoke step: three copies of Z4 with trivial
+# H and K, identity maps on (0,1) and (0,2), and a twisted map on (1,2).
+TWISTED_Z4_CUBE = """\
+group 0 cyclic 4
+group 1 cyclic 4
+group 2 cyclic 4
+block 0 1 2
+iso 0 1
+H 0
+K 0
+map 0:0 1:1 2:2 3:3
+end
+iso 0 2
+H 0
+K 0
+map 0:0 1:1 2:2 3:3
+end
+iso 1 2
+H 0
+K 0
+map 0:0 1:3 2:2 3:1
+end
+"""
+
+
+def z48_frames() -> dict[str, Frame]:
+    """Z48^12 and its two corrupted twins, as the benchmark builds them at seed 5."""
+    from perfbench.inputs import spec_text, z48_corpus
+
+    specs = z48_corpus(random.Random("validate-corpus:5"))
+    return {spec.name: parse_frame(spec_text(spec)) for spec in specs}
+
+
+def test_sweeps_image_each_pair_once_per_p0(monkeypatch):
+    import groupra.frames
+
+    real = groupra.frames._coarse_images
+    calls = []
+
+    def counting(record, coarse):
+        calls.append((record.x, record.y, coarse.subgroup))
+        return real(record, coarse)
+
+    monkeypatch.setattr(groupra.frames, "_coarse_images", counting)
+    frame = z48_frames()["z48x12"]
+    assert check_frame_full(frame).ok
+    # 1,728 triples ask for 3,456 images, of 532 distinct (pair, P0) keys
+    assert len(calls) == len(set(calls)) <= 532
+    calls.clear()
+    assert check_frame_reduced(frame).ok
+    assert len(calls) == len(set(calls)) <= 251
+
+
+def _report_pin(reports: list[list[str]]) -> tuple[int, str]:
+    text = "\n".join(line for lines in reports for line in lines)
+    return len(text.splitlines()), sha256(text.encode()).hexdigest()
+
+
+def test_sweep_reports_keep_their_text_and_order(verdict_frames, corpus):
+    twins = z48_frames()
+    sound, corrupted = verdict_frames
+    cases = {
+        "twin-twist": [twins["twin-twist"]],
+        "twin-kappa": [twins["twin-kappa"]],
+        "z4 cube": [parse_frame(TWISTED_Z4_CUBE)],
+        "verdict corpus": [*sound, *corrupted],
+        "cyclic corpus": corpus,
+    }
+    # taken before the sweeps kept their facts in a dict of their own
+    pins = {
+        "twin-twist": (
+            (93, "ada7d6dc3552986e565c64be0bc2f25ddeb9390a94ee2ec08389d54eb93fdb93"),
+            (553, "20e99713004327e21803326d5df11fbe77477e2d822f26d35d8889a00d036d99"),
+        ),
+        "twin-kappa": (
+            (4, "fd91aa9ba1760a6d19bc6e6fd17afa01b987d7b7f5117ad47fbd2590f984b8fc"),
+            (19, "2cccfab631df308a5e7257e6d2ad161fd573e8a60aac753ea20843c56ead00bc"),
+        ),
+        "z4 cube": (
+            (3, "82827b0b50ca88c94fc6e08442525bb37d9fd80f1a923d3667d069b1519d6217"),
+            (13, "ec328a424644ac91d6e37da95de3252aca5e34212b6311dc159fe9c54bfe3f75"),
+        ),
+        "verdict corpus": (
+            (156, "ba4b6f8e91d3000b8da92f528227903b3ad6f14d31a47f8cc36a7ddd2252ad69"),
+            (436, "b1e6d4370b0a99d55147c421303f0f7d76a8850b6a152f5aec467f92321ff9c7"),
+        ),
+        "cyclic corpus": (
+            (26, "474efa3342cf8e540812f54020097991ef5c2e687c0cd6ad32d116ca0dceadbc"),
+            (26, "043a0981ca84bd545d0ef27e83515d66324872cec7b9ce05e350f72c009fd97f"),
+        ),
+    }
+    for name, frames in cases.items():
+        reduced = _report_pin([check_frame_reduced(frame).lines() for frame in frames])
+        full = _report_pin([check_frame_full(frame).lines() for frame in frames])
+        assert (reduced, full) == pins[name], name
+
+
+def test_sweeps_keep_nothing_but_the_verdict(corpus):
+    import groupra.frames
+
+    module = dict(vars(groupra.frames))
+    for frame in [*corpus, *z48_frames().values(), parse_frame(TWISTED_Z4_CUBE)]:
+        before = dict(vars(frame))
+        for check in (check_frame_full, check_frame_reduced):
+            report = check(frame)
+            after = dict(vars(frame))
+            assert after.pop("_verdict") is report
+            assert after == {k: v for k, v in before.items() if k != "_verdict"}
+    assert vars(groupra.frames) == module
