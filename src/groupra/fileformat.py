@@ -33,7 +33,13 @@ string (``_content_bodies``), and splits each distinct line once: a
 directive into its tokens, a table row into its text in single spaces and
 its entries.  A row is converted to integers when it is first read, so
 its tokens live only that long, and none is kept while a table is proved
-or the Frame is built.  Each distinct group declaration is built once per
+or the Frame is built.  The conversion looks each token up in a dict of
+the canonical spellings "0".."n-1" of an order-n table, built once per
+order and parse.  A row with any other token (007, +5, -1, a Unicode
+digit, a token that is no integer, an entry out of range) is converted
+again by int(), token by token, so it is accepted or refused exactly as
+int() decides, and an entry out of range reaches validate_table, which
+names it.  Each distinct group declaration is built once per
 file: ``cyclic n`` once per n, and a table once per distinct text (its
 rows in single spaces), validated once.  Every table id still gets its
 own FiniteGroup, labelled T<id> (FiniteGroup.relabelled): identical
@@ -194,7 +200,9 @@ def parse_frame(text: str) -> Frame:
     # one split per distinct line: a directive into its tokens, a table row
     # into its text in single spaces and its entries
     split: dict[str, list[str]] = {}
-    table_rows: dict[str, tuple[str, list[int]]] = {}
+    table_rows: dict[str, tuple[str, tuple[int, ...]]] = {}
+    # the canonical spelling of each entry of an order-n table, per order n
+    digits_of: dict[int, dict[str, int]] = {}
 
     def take_body() -> tuple[int, str]:
         nonlocal pos
@@ -218,7 +226,13 @@ def parse_frame(text: str) -> Frame:
         A table is known by its rows' texts in single spaces.  Each row's
         length is checked before its entries, and both before the next row
         is read, so the first fault in reading order is the one reported.
+        A row whose tokens all spell 0..n-1 canonically is converted by
+        dict lookups; any other row goes through _ints (see the module
+        docstring).
         """
+        digits = digits_of.get(n)
+        if digits is None:
+            digits = digits_of[n] = {str(i): i for i in range(n)}
         rows = []
         for _ in range(n):
             row_line, body = take_body()
@@ -227,7 +241,11 @@ def parse_frame(text: str) -> Frame:
                 tokens = body.split()
                 count = len(tokens)
                 if count == n:
-                    row = table_rows[body] = (" ".join(tokens), _ints(tokens, row_line, "table entry"))
+                    try:
+                        entries = tuple(map(digits.__getitem__, tokens))
+                    except KeyError:
+                        entries = tuple(_ints(tokens, row_line, "table entry"))
+                    row = table_rows[body] = (" ".join(tokens), entries)
             else:
                 count = len(row[1])
             if count != n:

@@ -209,16 +209,22 @@ def _generators(op: Sequence[Sequence[int]], mask: Mask) -> Optional[list[int]]:
     return gens
 
 
-def _assoc_fault(rows: list[list[int]], middles: Sequence[int]) -> Optional[tuple[int, int, int]]:
+def _assoc_fault(
+    rows: Sequence[tuple[int, ...]], middles: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
     """First (i, j, k) with (i*j)*k != i*(j*k), j from the ascending middles.
 
     Triples are taken in lexicographic order; None if every middle
-    associates with every i and k.
+    associates with every i and k.  Row i*(j*-) is gathered from row i by
+    one itemgetter per middle j, built once.
     """
+    if len(rows) == 1:  # itemgetter of one index returns an entry, not a row
+        return None  # and the 1x1 table, range-checked, is (0,)
+    gathers = [(j, itemgetter(*rows[j])) for j in middles]
     for i, row_i in enumerate(rows):
-        for j in middles:
+        for j, gather in gathers:
             left = rows[row_i[j]]
-            right = list(map(row_i.__getitem__, rows[j]))
+            right = gather(row_i)
             if left != right:
                 k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
                 return i, j, k
@@ -233,6 +239,13 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
     failing triple / missing piece.  A table of more than MAX_GROUP_ORDER
     rows is refused before anything is read.
 
+    Each row is made a tuple once (a tuple row is taken as it is), and
+    those rows serve the range check, Light's test and the FiniteGroup.
+    The range is proved in one pass over the whole table: every row has n
+    entries, and the union of the rows lies in 0..n-1.  Only when that
+    proof fails does the row-by-row scan run, to name the first fault in
+    reading order: a row of the wrong length, or an entry out of range.
+
     Associativity is proved by Light's test: the middles m with
     (i*m)*k = i*(m*k) for all i, k are closed under the product, so it is
     enough to check the middles of the greedy generating set that
@@ -245,13 +258,14 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
     if n == 0:
         raise GroupTableError("empty operation table")
     check_group_order(n)
-    rows = [list(r) for r in table]
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise GroupTableError(f"row {i} has {len(row)} entries, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
-            raise GroupTableError(f"entry ({i},{j}) = {v} out of range 0..{n - 1}")
+    rows = list(map(tuple, table))
+    if set(map(len, rows)) != {n} or not set().union(*rows) <= set(range(n)):
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise GroupTableError(f"row {i} has {len(row)} entries, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+                raise GroupTableError(f"entry ({i},{j}) = {v} out of range 0..{n - 1}")
     # locate a two-sided identity
     ident = None
     for e in range(n):
@@ -264,7 +278,7 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
         # relabel by swapping 0 <-> ident
         p = list(range(n))
         p[0], p[ident] = ident, 0
-        rows = [[p[rows[p[i]][p[j]]] for j in range(n)] for i in range(n)]
+        rows = [tuple(p[rows[p[i]][p[j]]] for j in range(n)) for i in range(n)]
     gens = _generators(rows, full_mask(n))
     if _assoc_fault(rows, gens) is not None:
         i, j, k = _assoc_fault(rows, range(n))
@@ -281,7 +295,7 @@ def validate_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
         if 0 not in row:
             raise GroupTableError(f"element {i} has no two-sided inverse")
         inverse.append(row.index(0))
-    g = FiniteGroup(n, tuple(tuple(r) for r in rows), tuple(inverse), label)
+    g = FiniteGroup(n, tuple(rows), tuple(inverse), label)
     g.__dict__["_generating_set"] = gens  # Light's test picked them; keep, not re-pick
     return g
 

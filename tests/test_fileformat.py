@@ -854,3 +854,69 @@ def test_a_table_is_proved_without_its_tokens(copies):
     # the tokens of one copy alone are about 15.7 MB; kept while the table
     # was converted and proved, the peak was 1.76 times that
     assert peak < token_bytes, (peak, token_bytes)
+
+
+def z_table_rows(n: int) -> list[list[str]]:
+    """The tokens of the addition table of Z_n, one list per row."""
+    return [[str((a + b) % n) for b in range(n)] for a in range(n)]
+
+
+def table_text(rows: list[list[str]]) -> str:
+    return lines(f"group 0 table {len(rows)}", *(" ".join(row) for row in rows), "block 0")
+
+
+def test_table_entries_spelled_otherwise_give_the_same_group():
+    rows = z_table_rows(8)
+    canonical = parse_frame(table_text(rows)).groups["0"]
+    # 007 and +1 in row 0, -0 in row 1, Arabic-Indic three in row 2
+    rows[0][7], rows[0][1], rows[1][7], rows[2][1] = "007", "+1", "-0", "٣"
+    group = parse_frame(table_text(rows)).groups["0"]
+    assert group == canonical
+    assert group.op == tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8))
+
+
+def test_table_entry_that_is_no_integer_is_named_at_its_row():
+    rows = z_table_rows(6)
+    rows[2][4] = "z"
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(table_text(rows))
+    assert str(info.value) == "line 4: table entry must be an integer, got 'z'"
+
+
+@pytest.mark.parametrize(
+    "i, j, token, reason",
+    [
+        (5, 7, "60", "not a group table: entry (5,7) = 60 out of range 0..59"),
+        (3, 2, "-1", "not a group table: entry (3,2) = -1 out of range 0..59"),
+        (59, 0, "60", "not a group table: entry (59,0) = 60 out of range 0..59"),
+    ],
+)
+def test_table_entry_out_of_range_is_named_at_the_group_line(i, j, token, reason):
+    rows = z_table_rows(60)
+    rows[i][j] = token
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(table_text(rows))
+    assert (info.value.line, info.value.reason) == (1, reason)
+    assert str(info.value) == f"line 1: {reason}"
+
+
+def test_first_out_of_range_entry_of_a_table_is_named():
+    rows = z_table_rows(60)
+    rows[4][9], rows[2][50] = "-1", "60"
+    expect_error(table_text(rows), 1, "not a group table: entry (2,50) = 60 out of range 0..59")
+
+
+def test_short_row_after_a_bad_token_names_the_token_line():
+    rows = z_table_rows(5)
+    rows[1][3] = "x"
+    rows[2] = rows[2][:4]
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(table_text(rows))
+    assert str(info.value) == "line 3: table entry must be an integer, got 'x'"
+    # and the reverse: the short row comes first
+    rows = z_table_rows(5)
+    rows[1] = rows[1][:4]
+    rows[2][3] = "x"
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(table_text(rows))
+    assert str(info.value) == "line 3: table row has 4 entries, expected 5"
