@@ -23,17 +23,20 @@ coset lists straight off ``Frame.records``.
 P0 = K_xy*H_yz is the canonical system its group keeps, read in one place
 (_p0) for the checks and the algebra's composition rule alike.  The M0- and
 N0-cosets, its images, are read in one pass over a record's paired lists
-(_coarse_images); which M0-coset holds each H_xz-coset is answered in one
-place (_slots).
+(_coarse_images).  Condition (iv) is proved on the generators of G_x
+(_agrees_on_generators); which M0-coset holds each H_xz-coset is answered
+in one place (_slots), read only to name the cosets of a triple that fails
+(iv) and by the algebra's composition rule.
 
 Most of what a triple reads depends on one pair and one subgroup, not on
 the whole triple, so each sweep works it out once: a dict that lives only
 for the sweep keeps the records of each ordered pair, P0 by y and the masks
 of K_xy and H_yz, the images of each record on each P0, the products
 H_xy*H_xz and K_xz*K_yz by group and masks, and the text of each mask a
-violation prints.  Per triple remain the direct images of phi_xz (_slots)
-and the comparisons.  Nothing is kept once the sweep returns but the
-report.
+violation prints.  Per triple remain the comparisons and, for (iv), the
+images of one coset per generator of G_x; the direct image of every
+H_xz-coset is worked out only where that fails.  Nothing is kept once the
+sweep returns but the report.
 """
 
 from __future__ import annotations
@@ -296,10 +299,27 @@ def _slots(ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem) -> list[int]:
 
     The least element of an H_xz-coset lies in an H_xy-coset that phi_xy
     sends into one P0-coset; the rest of the H_xz-coset follows it when
-    H_xz lies inside M0, as on every checked frame.
+    H_xz lies inside M0, as on every checked frame.  Two callers read it:
+    _check_triple, only at a triple whose generators fail (iv), to name
+    each faulty coset, and GroupRelationAlgebra._rule.
     """
     where_p, k_reps, where_h = p._where, ryx.h.reps, ryx.k._where
     return [where_p[k_reps[where_h[r]]] for r in rxz.h.reps]
+
+
+def _agrees_on_generators(
+    gx: FiniteGroup, ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem, n: list[Mask]
+) -> bool:
+    """Whether phi_xz sends the H_xz-coset of each generator s of G_x into
+    the N0-coset of its slot (_check_triple says why that decides condition
+    (iv)); the slot is _slots' formula read at s.
+    """
+    k_cosets, where_xz = rxz.k.cosets, rxz.h._where
+    where_p, k_reps, where_h = p._where, ryx.h.reps, ryx.k._where
+    for s in gx._generating_set:
+        if k_cosets[where_xz[s]] & ~n[where_p[k_reps[where_h[s]]]]:
+            return False
+    return True
 
 
 # -- frame conditions ----------------------------------------------------
@@ -344,12 +364,32 @@ def _check_triple(
     """Conditions (iii) and (iv) at one triple, read off ``frame.records``.
 
     (iii) holds iff M0 = H_xy*H_xz (and, with ``both``, N0 = K_xz*K_yz);
-    (iv) iff H_xz lies inside M0 and phi_xz, its images gathered by _slots,
-    maps each M0-coset onto the matching N0-coset.  Both subgroup products
-    are read off the records' coset lists (_times_normal).  Every fact that
-    depends on fewer than all three indices is read through ``facts``, the
-    sweep's own dict: the records of a pair, P0, the M0- and N0-cosets, the
-    two products and the text of each mask a violation prints.
+    (iv) iff H_xz lies inside M0 and phi_xz maps each M0-coset onto the
+    matching N0-coset.  Both subgroup products are read off the records'
+    coset lists (_times_normal).  Every fact that depends on fewer than all
+    three indices is read through ``facts``, the sweep's own dict: the
+    records of a pair, P0, the M0- and N0-cosets, the two products and the
+    text of each mask a violation prints.
+
+    Once H_xz lies inside M0, (iv) is decided on the generators s of G_x
+    (_agrees_on_generators): is the K_xz-coset of phi_xz(s) inside the
+    N0-coset that phi_yz(phi_xy(s)*P0) gives?  That is Light's test, as in
+    validate_table and homomorphism_defect:
+
+    * A coset aK_xz inside a coset bN0 puts K_xz inside a^-1*bN0, the
+      N0-coset that holds the identity: K_xz lies inside N0.  So
+      g -> phi_xz(g)*N0 and g -> phi_yz(phi_xy(g)*P0) are both homomorphisms
+      G_x -> G_z/N0, and two homomorphisms that agree on generators agree
+      everywhere.  A trivial G_x has no generators; there kappa_xy =
+      kappa_xz = 1, so P0 = G_y and N0 = G_z = K_xz, and (iv) holds.
+    * Agreement puts each of the |M0|/|H_xz| K_xz-cosets over an M0-coset
+      inside the N0-coset that coset is matched with.
+    * G_x/M0, G_y/P0 and G_z/N0 have one size, and so have G_x/H_xz and
+      G_z/K_xz, so |N0| = |M0|*|K_xz|/|H_xz|: each union fills its N0-coset.
+
+    Conversely a triple that satisfies (iv) passes the test, so only a
+    failing triple gathers the direct image of every H_xz-coset (_slots)
+    and names each M0-coset where it differs, as the full scan always did.
     """
     rxy, ryx, rxz, ryz = facts[(x, y)], facts[(y, x)], facts[(x, z)], facts[(y, z)]
     h_xz = rxz.h.subgroup
@@ -371,7 +411,7 @@ def _check_triple(
     if not is_subset(h_xz, m[0]):
         shown = f"{_text(facts, h_xz)} is not inside M0 = {_text(facts, m[0])}"
         found.append(("iv", f"H_xz = {shown}"))
-    else:
+    elif not _agrees_on_generators(frame.groups[x], ryx, rxz, p, n):
         direct = [0] * len(m)
         for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
             direct[j] |= kc

@@ -1,12 +1,32 @@
-"""Shared fixtures: deterministic random frame corpora and corrupted frames."""
+"""Shared fixtures: deterministic random frame corpora, corrupted frames and
+the census of small frames."""
 
 import random
+from itertools import permutations, product
 from math import gcd
+from typing import Iterator
 
 from groupra.builders import build_cyclic_frame, cyclic_iso_record
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
-from groupra.frames import Frame, IsoRecord
-from groupra.groups import CosetSystem, make_cyclic, mask_of, validate_table
+from groupra.errors import NotASubgroupError, NotNormalError
+from groupra.frames import (
+    Frame,
+    IsoRecord,
+    _agrees_on_generators,
+    _coarse_images,
+    _p0,
+    _slots,
+)
+from groupra.groups import (
+    CosetSystem,
+    FiniteGroup,
+    enumerate_cosets,
+    homomorphism_defect,
+    is_subset,
+    make_cyclic,
+    mask_of,
+    validate_table,
+)
 
 
 def divisors(n: int) -> list[int]:
@@ -163,3 +183,74 @@ def frame_from_atom_table(alg: GroupRelationAlgebra) -> Frame:
                     x, y, CosetSystem(h, tuple(h_cosets)), CosetSystem(k, tuple(k_cosets))
                 )
     return Frame(groups, blocks, isos)
+
+
+def census_groups() -> dict[str, FiniteGroup]:
+    """Every group of order at most 4: Z1, Z2, Z3, Z4 and the Klein group V4."""
+    groups = {f"Z{n}": make_cyclic(n, f"Z{n}") for n in range(1, 5)}
+    groups["V4"] = validate_table([[a ^ b for b in range(4)] for a in range(4)], "V4")
+    return groups
+
+
+def _quotient_isos(gx: FiniteGroup, gy: FiniteGroup) -> list[tuple[CosetSystem, CosetSystem]]:
+    """Every quotient isomorphism G_x/H -> G_y/K, as its paired coset lists.
+
+    H and K run over the normal subgroups of equal index; the K-cosets over
+    every order that keeps K first and passes homomorphism_defect.
+    """
+
+    def normal(g: FiniteGroup) -> list[CosetSystem]:
+        systems = []
+        for mask in range(1, 1 << g.order, 2):
+            try:
+                systems.append(enumerate_cosets(g, mask))
+            except (NotASubgroupError, NotNormalError):
+                pass
+        return systems
+
+    isos = []
+    for h in normal(gx):
+        for k in normal(gy):
+            if h.count != k.count:
+                continue
+            for rest in permutations(k.cosets[1:]):
+                image = CosetSystem(k.subgroup, (k.subgroup, *rest))
+                if homomorphism_defect(gx, h, gy, image) is None:
+                    isos.append((h, image))
+    return isos
+
+
+def small_frame_census() -> Iterator[Frame]:
+    """Every one-block frame of three groups of order at most 4.
+
+    The ids 0, 1, 2 take every ordered choice of census_groups(), and each
+    pair x < y every quotient isomorphism between its groups
+    (_quotient_isos), so frames that fail conditions (iii) and (iv) come
+    with the ones that pass.
+    """
+    catalogue = census_groups()
+    pairs = [("0", "1"), ("0", "2"), ("1", "2")]
+    for chosen in product(catalogue.values(), repeat=3):
+        groups = dict(zip("012", chosen))
+        choices = [_quotient_isos(groups[x], groups[y]) for x, y in pairs]
+        for records in product(*choices):
+            isos = {(x, y): IsoRecord(x, y, h, k) for (x, y), (h, k) in zip(pairs, records)}
+            yield Frame(groups, [["0", "1", "2"]], isos)
+
+
+def iv_verdicts(frame: Frame) -> Iterator[tuple[bool, bool]]:
+    """At each ordered triple where H_xz lies inside M0: whether the
+    generators of G_x agree (frames._agrees_on_generators), and whether
+    phi_xz's direct images, gathered coset by coset, equal the N0-cosets.
+    """
+    for block in frame.blocks:
+        for x, y, z in product(block, repeat=3):
+            ryx, ryz, rxz = frame.records[(y, x)], frame.records[(y, z)], frame.records[(x, z)]
+            p = _p0(frame, x, y, z)
+            m, n = _coarse_images(ryx, p), _coarse_images(ryz, p)
+            if not is_subset(rxz.h.subgroup, m[0]):
+                continue
+            direct = [0] * p.count
+            for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
+                direct[j] |= kc
+            yield _agrees_on_generators(frame.groups[x], ryx, rxz, p, n), direct == n

@@ -5,6 +5,7 @@ import random
 from hashlib import sha256
 from itertools import permutations, product
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -33,7 +34,7 @@ from groupra.groups import (
     mask_of,
 )
 
-from tests.helpers import corrupt_kappa, corrupt_map
+from tests.helpers import corrupt_kappa, corrupt_map, iv_verdicts, small_frame_census
 from tests.test_algebra import centre, dihedral_square, quaternion_units
 from tests.test_groups import PERM_GENERATORS, closure, perm_group
 
@@ -523,18 +524,23 @@ def test_coarse_images_match_the_images_element_by_element(corpus):
     assert triples > 0
 
 
-def _d4_q8_d4_reports() -> tuple[str, str]:
+def d4_q8_d4_frames() -> Iterator[Frame]:
+    """D4, Q8, D4 glued along their centres, on each of the 216 map choices."""
     groups = {"0": dihedral_square(), "1": quaternion_units(), "2": dihedral_square()}
     systems = {x: enumerate_cosets(g, centre(g)) for x, g in groups.items()}
     pairs = [("0", "1"), ("0", "2"), ("1", "2")]
-    reduced, full = [], []
     for maps in product(permutations((1, 2, 3)), repeat=3):
         isos = {}
         for (x, y), order in zip(pairs, maps):
             k = systems[y]
             image = CosetSystem(k.subgroup, (k.subgroup, *(k.cosets[i] for i in order)))
             isos[(x, y)] = IsoRecord(x, y, systems[x], image)
-        frame = Frame(groups, [["0", "1", "2"]], isos)
+        yield Frame(groups, [["0", "1", "2"]], isos)
+
+
+def _d4_q8_d4_reports() -> tuple[str, str]:
+    reduced, full = [], []
+    for frame in d4_q8_d4_frames():
         reduced += check_frame_reduced(frame).lines()
         full += check_frame_full(frame).lines()
     return "\n".join(reduced), "\n".join(full)
@@ -718,3 +724,81 @@ def test_sweeps_keep_nothing_but_the_verdict(corpus):
             assert after.pop("_verdict") is report
             assert after == {k: v for k, v in before.items() if k != "_verdict"}
     assert vars(groupra.frames) == module
+
+
+def test_passing_triples_gather_no_direct_images(corpus, monkeypatch):
+    import groupra.frames
+
+    real = groupra.frames._slots
+    calls = []
+
+    def counting(ryx, rxz, p):
+        calls.append((rxz.x, ryx.x, rxz.y))
+        return real(ryx, rxz, p)
+
+    monkeypatch.setattr(groupra.frames, "_slots", counting)
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    twins = z48_frames()
+    # 16 copies of Z1024 at kappa 1024: 1,024 cosets per record, one generator
+    wide = build_cyclic_frame([1024] * 16, {(i, j): 1024 for i in range(16) for j in range(i + 1, 16)})
+    for frame in [twins["z48x12"], *corpus, *shipped, wide]:
+        for check in (check_frame_full, check_frame_reduced):
+            assert check(frame).ok
+            assert calls == [], frame
+    # on the twisted twin the direct images are gathered only where (iv) fails
+    for check, count in ((check_frame_full, 24), (check_frame_reduced, 4)):
+        report = check(twins["twin-twist"])
+        failing = {v.where for v in report.violations if v.detail.startswith("direct image")}
+        assert len(calls) == len(set(calls)) == len(failing) == count
+        assert set(calls) == failing
+        calls.clear()
+
+
+def test_generators_decide_condition_iv(corpus, verdict_frames):
+    shipped = [
+        parse_frame(path.read_text())
+        for path in sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+    ]
+    sound, corrupted = verdict_frames
+    # Z1 has no generators: its triples are decided on none
+    trivial = build_cyclic_frame([4, 1, 6], {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+    assert trivial.groups["1"]._generating_set == []
+    frames = [
+        *corpus,
+        *sound,
+        *corrupted,
+        *shipped,
+        *power_frames_of_small_groups(),
+        *d4_q8_d4_frames(),
+        trivial,
+    ]
+    verdicts = [v for frame in frames for v in iv_verdicts(frame)]
+    assert all(generators == direct for generators, direct in verdicts)
+    # triples with H_xz inside M0 whose direct images match / miss the N0-cosets
+    assert (verdicts.count((True, True)), verdicts.count((False, False))) == (7_736, 1_140)
+
+
+def test_census_of_small_frames():
+    catalogue = ["Z1", "Z2", "Z3", "Z4", "V4"]
+    frames = passing = ascending = ascending_passing = 0
+    verdicts = {}
+    for frame in small_frame_census():
+        ok = check_frame_reduced(frame).ok
+        assert check_frame_full(frame).ok == ok, frame
+        for generators, direct in iv_verdicts(frame):
+            assert generators == direct, frame
+            verdicts[direct] = verdicts.get(direct, 0) + 1
+        frames += 1
+        passing += ok
+        ranks = [catalogue.index(g.label) for g in frame.groups.values()]
+        if ranks == sorted(ranks):
+            ascending += 1
+            ascending_passing += ok
+    # every order of the three groups; as multisets of groups, 4,943 frames and 1,013 pass
+    assert (frames, passing) == (6_602, 1_785)
+    assert (ascending, ascending_passing) == (4_943, 1_013)
+    # triples with H_xz inside M0 whose direct images match / miss the N0-cosets
+    assert verdicts == {True: 160_200, False: 7_500}
