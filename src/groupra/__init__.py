@@ -49,7 +49,6 @@ from .groups import (
     IsoCheck,
     Mask,
     check_quotient_iso,
-    complex_inverse,
     complex_product,
     elements,
     enumerate_cosets,
@@ -63,10 +62,8 @@ from .relations import (
     ConcreteRelation,
     cayley_relation,
     identity_on,
-    rel_complement_within,
     rel_compose,
     rel_converse,
-    rel_intersect,
     rel_union,
 )
 

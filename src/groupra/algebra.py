@@ -13,6 +13,10 @@ atoms, so one lookup rule per triple, built on first use, answers every
 atom pair of that triple.  Elements compose one triple at a time: their
 atoms are grouped by pair, and each triple both operands reach reads all
 its atom pairs off its rule at once.
+
+The closed forms for pairs with a square atom (fast_compose_subidentity)
+read the same way: H and K are normal, so a translate or product of their
+cosets is the coset of a product of representatives, one coset lookup each.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
 from .frames import Frame, IsoRecord, _p0, _slots, check_frame_reduced
-from .groups import (
-    complex_product,
-    elements,
-    iter_bits,
-    left_translate,
-    right_translate,
-)
+from .groups import iter_bits
 from .relations import ConcreteRelation, identity_on
 
 __all__ = [
@@ -67,9 +65,6 @@ class BaseSpace:
             self.offsets[x] = total
             total += frame.groups[x].order
         self.size = total
-
-    def global_id(self, x: str, e: int) -> int:
-        return self.offsets[x] + e
 
     def span(self, x: str, order: int) -> int:
         """Bitmask of the ids belonging to group x."""
@@ -306,8 +301,10 @@ class GroupRelationAlgebra:
         """Closed-form composition when a square pair is involved.
 
         Handles (x,x);(x,z), (x,y);(y,y) and the round trip (x,y);(y,x);
-        anything else falls back to compose_atoms.  Each answer is read off
-        the proven record, so its atoms are built without a second check.
+        anything else falls back to compose_atoms.  H and K are normal, so a
+        translate or product of their cosets is the coset of the product of
+        representatives: each closed form is one coset lookup on the proven
+        record, and its atoms are built without a second check.
         """
         self._require_atom(a)
         self._require_atom(b)
@@ -315,19 +312,20 @@ class GroupRelationAlgebra:
         if a.y != b.x:
             return self.compose_atoms(a, b)
         if a.x == a.y:
-            record = frame.records[(b.x, b.y)]
-            target = left_translate(frame.groups[a.x], a.alpha, record.h.cosets[b.alpha])
-            return FrameElement(self, frozenset([AtomIndex(b.x, b.y, record.h.index_of(target))]))
+            # alpha*H_beta
+            h = frame.records[(b.x, b.y)].h
+            gamma = h.coset_of(frame.groups[a.x].op[a.alpha][h.reps[b.alpha]])
+            return FrameElement(self, frozenset([AtomIndex(b.x, b.y, gamma)]))
         if b.x == b.y:
-            record = frame.records[(a.x, a.y)]
-            target = right_translate(frame.groups[b.x], record.k.cosets[a.alpha], b.alpha)
-            return FrameElement(self, frozenset([AtomIndex(a.x, a.y, record.k.index_of(target))]))
+            # K_alpha*beta
+            k = frame.records[(a.x, a.y)].k
+            gamma = k.coset_of(frame.groups[b.x].op[k.reps[a.alpha]][b.alpha])
+            return FrameElement(self, frozenset([AtomIndex(a.x, a.y, gamma)]))
         if b.y == a.x:
-            record = frame.records[(a.x, a.y)]
-            prod = complex_product(
-                frame.groups[a.x], record.h.cosets[a.alpha], record.h.cosets[b.alpha]
-            )
-            return FrameElement(self, frozenset(AtomIndex(a.x, a.x, f) for f in elements(prod)))
+            # H_alpha*H_beta, whose elements name the square atoms
+            h = frame.records[(a.x, a.y)].h
+            prod = h.cosets[h.coset_of(frame.groups[a.x].op[h.reps[a.alpha]][h.reps[b.alpha]])]
+            return FrameElement(self, frozenset(AtomIndex(a.x, a.x, f) for f in iter_bits(prod)))
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:

@@ -211,9 +211,6 @@ class Frame:
     def related(self, x: str, y: str) -> bool:
         return self._block_of[x] == self._block_of[y]
 
-    def block_of(self, x: str) -> int:
-        return self._block_of[x]
-
     def resolve_iso(self, x: str, y: str) -> IsoRecord:
         """The record for any related pair, looked up in ``records``."""
         record = self.records.get((x, y))
@@ -228,9 +225,6 @@ class Frame:
     @property
     def last_check(self) -> Optional["FrameCheckReport"]:
         return self._verdict
-
-    def validate(self, full: bool = False) -> "FrameCheckReport":
-        return check_frame_full(self) if full else check_frame_reduced(self)
 
     def _signature(self):
         return (

@@ -35,9 +35,7 @@ __all__ = [
     "CosetSystem",
     "enumerate_cosets",
     "complex_product",
-    "complex_inverse",
     "left_translate",
-    "right_translate",
     "quotient_group",
     "map_defect",
     "homomorphism_defect",
@@ -428,13 +426,6 @@ class CosetSystem:
         )
         return image
 
-    def index_of(self, coset: Mask) -> int:
-        """Position of a coset mask in this enumeration."""
-        try:
-            return self.cosets.index(coset)
-        except ValueError:
-            raise ValueError(f"{elements(coset)} is not a coset of this system") from None
-
     def coset_of(self, e: int) -> int:
         """Index of the coset containing element e."""
         where = self._where
@@ -491,26 +482,11 @@ def complex_product(g: FiniteGroup, a: Mask, b: Mask) -> Mask:
     return out
 
 
-def complex_inverse(g: FiniteGroup, a: Mask) -> Mask:
-    """Elementwise inverse set {x^-1 : x in a}."""
-    out = 0
-    for x in iter_bits(a):
-        out |= 1 << g.inverse[x]
-    return out
-
-
 def left_translate(g: FiniteGroup, x: int, a: Mask) -> Mask:
     row = g.op[x]
     out = 0
     for y in iter_bits(a):
         out |= 1 << row[y]
-    return out
-
-
-def right_translate(g: FiniteGroup, a: Mask, y: int) -> Mask:
-    out = 0
-    for x in iter_bits(a):
-        out |= 1 << g.op[x][y]
     return out
 
 

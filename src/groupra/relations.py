@@ -17,8 +17,6 @@ __all__ = [
     "rel_compose",
     "rel_converse",
     "rel_union",
-    "rel_intersect",
-    "rel_complement_within",
     "identity_on",
     "cayley_relation",
 ]
@@ -94,19 +92,6 @@ def rel_converse(r: ConcreteRelation) -> ConcreteRelation:
 def rel_union(r: ConcreteRelation, s: ConcreteRelation) -> ConcreteRelation:
     n = _same_size(r, s)
     return ConcreteRelation(n, tuple(a | b for a, b in zip(r.rows, s.rows)))
-
-
-def rel_intersect(r: ConcreteRelation, s: ConcreteRelation) -> ConcreteRelation:
-    n = _same_size(r, s)
-    return ConcreteRelation(n, tuple(a & b for a, b in zip(r.rows, s.rows)))
-
-
-def rel_complement_within(r: ConcreteRelation, e: ConcreteRelation) -> ConcreteRelation:
-    """Complement of r relative to a unit relation e (r must sit inside e)."""
-    n = _same_size(r, e)
-    if any(a & ~b for a, b in zip(r.rows, e.rows)):
-        raise ValueError("relation is not contained in the given unit")
-    return ConcreteRelation(n, tuple(b & ~a for a, b in zip(r.rows, e.rows)))
 
 
 def identity_on(size: int) -> ConcreteRelation:

@@ -131,9 +131,6 @@ def _sample_elements(alg: GroupRelationAlgebra, count: int, seed: int) -> list[F
     atoms = alg.atoms()
     out = []
     for _ in range(count):
-        if not atoms:
-            out.append(alg.zero())
-            continue
         k = rng.randint(0, len(atoms))
         out.append(alg.element(rng.sample(atoms, k)))
     return out

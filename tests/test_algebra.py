@@ -32,7 +32,7 @@ from groupra.relations import (
     rel_converse,
     rel_union,
 )
-from groupra.verification import check_oracle_composition
+from groupra.verification import check_boolean_laws, check_identity_laws, check_oracle_composition
 
 from tests.helpers import corrupt_kappa, frame_from_atom_table
 from tests.test_groups import PERM_GENERATORS, closure, perm_group
@@ -119,7 +119,7 @@ def test_atom_label():
 def test_base_space_layout():
     assert ALG.base.offsets == {"0": 0, "1": 6}
     assert ALG.base.size == 15
-    assert ALG.base.global_id("1", 4) == 10
+    assert ALG.base.offsets["1"] + 4 == 10
     assert ALG.base.span("1", 9) == ((1 << 9) - 1) << 6
 
 
@@ -292,7 +292,7 @@ def test_composition_reads_one_rule_per_triple(monkeypatch):
         raise AssertionError("compose_atoms called complex_product")
 
     monkeypatch.setattr(groupra.algebra, "_p0", counting)
-    monkeypatch.setattr(groupra.algebra, "complex_product", refuse)
+    monkeypatch.setattr(groupra.algebra, "complex_product", refuse, raising=False)
     alg = fresh_running_algebra()
     for _ in range(2):
         for a in alg.atoms():
@@ -364,6 +364,26 @@ def test_fast_paths_match_generic_composition():
     for a in ALG.atoms():
         for b in ALG.atoms():
             assert ALG.fast_compose_subidentity(a, b) == ALG.compose_atoms(a, b)
+
+
+def test_fast_paths_fall_back_to_generic_composition():
+    """Pairs (x,y);(y,z) over three distinct groups have no closed form, and
+    on d4q8d4 left and right translates differ, so every pair counts there."""
+    z24 = build_cyclic_frame([24] * 3, {(i, j): 12 for i in range(3) for j in range(i + 1, 3)})
+    path = Path(__file__).resolve().parent.parent / "frames" / "d4q8d4.frame"
+    d4q8d4 = parse_frame(path.read_text())
+    assert check_frame_reduced(z24).ok and check_frame_reduced(d4q8d4).ok
+    for frame, every_pair in [(z24, False), (d4q8d4, True)]:
+        alg = GroupRelationAlgebra(frame)
+        pairs = [
+            (a, b)
+            for a in alg.atoms()
+            for b in alg.atoms()
+            if a.y == b.x and (every_pair or len({a.x, a.y, b.y}) == 3)
+        ]
+        assert any(len({a.x, a.y, b.y}) == 3 for a, b in pairs)
+        for a, b in pairs:
+            assert alg.fast_compose_subidentity(a, b) == alg.compose_atoms(a, b), (a, b)
 
 
 def test_atom_relation_mod3_values():
@@ -459,7 +479,7 @@ def test_atom_relations_read_their_columns_off_the_coset_lookup(monkeypatch):
     def refuse(*args):
         raise AssertionError("atom_relation called complex_product")
 
-    monkeypatch.setattr(groupra.algebra, "complex_product", refuse)
+    monkeypatch.setattr(groupra.algebra, "complex_product", refuse, raising=False)
     for frame in materialization_frames():
         alg = GroupRelationAlgebra(frame)
         for a in alg.atoms():
@@ -691,6 +711,8 @@ def test_empty_frame_is_degenerate():
     assert alg.decompose() == []
     assert alg.base.size == 0
     assert alg.unit() == alg.zero()
+    # every sampled element of an algebra without atoms is the empty one
+    assert check_identity_laws(alg) == check_boolean_laws(alg) == []
 
 
 def test_repr_lists_atoms_sorted():

@@ -136,7 +136,7 @@ def test_atoms_cosets(capsys, z6z9_file):
 def test_atoms_reads_sizes_off_the_records(capsys, monkeypatch, name):
     path = str(Path(__file__).resolve().parent.parent / "frames" / f"{name}.frame")
     frame = parse_frame(Path(path).read_text())
-    assert frame.validate().ok
+    assert check_frame_reduced(frame).ok
     alg = GroupRelationAlgebra(frame)
     listing = "".join(
         f"{i} {atom.label()} {alg.atom_relation(atom).count()}\n"
@@ -171,7 +171,7 @@ def test_atoms_pairs_keeps_no_relation(capsys, monkeypatch, name):
 
     path = str(Path(__file__).resolve().parent.parent / "frames" / f"{name}.frame")
     frame = parse_frame(Path(path).read_text())
-    assert frame.validate().ok
+    assert check_frame_reduced(frame).ok
     alg = GroupRelationAlgebra(frame)
     expected = ""
     for i, atom in enumerate(alg.atoms()):
@@ -484,6 +484,34 @@ def test_verify_all_sweeps_pass(capsys, z6z9_file):
         "identity-laws: PASS",
         "boolean-laws: PASS",
         "fast-paths: PASS",
+        "image-equations: PASS",
+    ]
+
+
+def test_verify_prints_each_failure_under_its_sweep(capsys, monkeypatch, z6z9_file):
+    import groupra.verification
+
+    sweeps = list(groupra.verification.VERIFY_SWEEPS)
+    at = [name for name, _ in sweeps].index("fast-paths")
+    failures = [
+        "fast path differs at ((0,0),1);((0,1),2)",
+        "fast path differs at ((1,1),0);((1,0),1)",
+    ]
+    sweeps[at] = ("fast-paths", lambda alg: failures)
+    monkeypatch.setattr(groupra.verification, "VERIFY_SWEEPS", sweeps)
+    code, out, err = run_cli(capsys, "verify", z6z9_file)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "partition: PASS",
+        "converse-oracle: PASS",
+        "composition-oracle: PASS",
+        "involution: PASS",
+        "associativity: PASS",
+        "identity-laws: PASS",
+        "boolean-laws: PASS",
+        "fast-paths: FAIL",
+        "  fast path differs at ((0,0),1);((0,1),2)",
+        "  fast path differs at ((1,1),0);((1,0),1)",
         "image-equations: PASS",
     ]
 

@@ -128,8 +128,7 @@ def test_related_and_block_of():
     frame = build_cyclic_frame([2, 3, 4], {(0, 2): 2})
     assert frame.related("0", "2")
     assert not frame.related("0", "1")
-    assert frame.block_of("0") == frame.block_of("2")
-    assert frame.block_of("1") != frame.block_of("0")
+    assert frame.blocks == (("0", "2"), ("1",))
 
 
 def test_ctor_rejects_unknown_block_index():
@@ -316,7 +315,7 @@ def test_checks_pass_on_running_pair():
     assert reduced.ok and reduced.mode == "reduced"
     assert frame.last_check is reduced
     assert reduced.lines() == ["frame check (reduced): PASS"]
-    assert frame.validate(full=True).mode == "full"
+    assert check_frame_full(frame).mode == "full"
 
 
 def test_perturbed_map_fails_both_checks():

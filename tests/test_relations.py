@@ -9,10 +9,8 @@ from groupra.relations import (
     ConcreteRelation,
     cayley_relation,
     identity_on,
-    rel_complement_within,
     rel_compose,
     rel_converse,
-    rel_intersect,
     rel_union,
 )
 
@@ -75,20 +73,6 @@ def test_union_rebuilds_rectangle():
         15, ((a, 6 + b) for a in range(6) for b in range(9))
     )
     assert whole == rect
-
-
-def test_intersect_of_distinct_atoms_is_empty():
-    assert rel_intersect(mod3_cross(0), mod3_cross(1)) == ConcreteRelation.empty(15)
-
-
-def test_complement_within():
-    rect = ConcreteRelation.from_pairs(
-        15, ((a, 6 + b) for a in range(6) for b in range(9))
-    )
-    got = rel_complement_within(mod3_cross(0), rect)
-    assert got == rel_union(mod3_cross(1), mod3_cross(2))
-    with pytest.raises(ValueError, match="not contained"):
-        rel_complement_within(identity_on(15), rect)
 
 
 def test_identity_neutral_for_compose():
