@@ -18,7 +18,7 @@ from typing import NoReturn, Optional, Sequence
 from .algebra import AtomIndex, GroupRelationAlgebra, atom_relation_of
 from .builders import build_cyclic_frame, build_power_frame, check_power_copies
 from .errors import FrameBuildError, FrameFormatError
-from .fileformat import _content_lines, _int, _ints, _read_text, emit_frame, parse_frame
+from .fileformat import _content_bodies, _int, _ints, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
 from .groups import _fmt_mask, mask_of, validate_table
 from .relations import rel_compose, rel_converse
@@ -168,7 +168,8 @@ def _parse_failure(source: str, message: str) -> NoReturn:
 def _read_matrix(path: str, what: str) -> list[list[int]]:
     """Integer rows of a file, read with the frame format's comment rules."""
     try:
-        return [_ints(tokens, line, what) for line, tokens in _content_lines(_read_text(path))]
+        bodies = _content_bodies(_read_text(path))
+        return [_ints(body.split(), line, what) for line, body in bodies]
     except FrameFormatError as exc:
         _parse_failure(path, str(exc))
 

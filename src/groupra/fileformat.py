@@ -29,13 +29,13 @@ the first failing pair of a map it rejects, which is reported at that iso's
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
 that line, before any table row is read or any group is built.  The
 reader keeps each line's text before its comment, equal lines sharing one
-string (``_content_bodies``), and splits each distinct line once: a
-directive into its tokens, a table row into its text in single spaces and
-its entries.  A row is converted to integers when it is first read, so
-its tokens live only that long, and none is kept while a table is proved
-or the Frame is built.  The conversion looks each token up in a dict of
-the canonical spellings "0".."n-1" of an order-n table, built once per
-order and parse.  A row with any other token (007, +5, -1, a Unicode
+string (``_content_bodies``).  A directive is split where it is read;
+only a table row is split once per distinct text, into its text in single
+spaces and its entries.  A row is converted to integers when it is first
+read, so its tokens live only that long, and none is kept while a table
+is proved or the Frame is built.  The conversion looks each token up in a
+dict of the canonical spellings "0".."n-1" of an order-n table, built once
+per order and parse.  A row with any other token (007, +5, -1, a Unicode
 digit, a token that is no integer, an entry out of range) is converted
 again by int(), token by token, so it is accepted or refused exactly as
 int() decides, and an entry out of range reaches validate_table, which
@@ -170,22 +170,6 @@ def _content_bodies(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of each line that is not blank once its comment goes.
-
-    Each distinct line is split once, and equal lines share one token list,
-    which no caller mutates.
-    """
-    split: dict[str, list[str]] = {}
-    out = []
-    for i, body in _content_bodies(text):
-        tokens = split.get(body)
-        if tokens is None:
-            tokens = split[body] = body.split()
-        out.append((i, tokens))
-    return out
-
-
 def parse_frame(text: str) -> Frame:
     """Parse a frame file; FrameFormatError carries the offending line."""
     lines = _content_bodies(text)
@@ -197,9 +181,7 @@ def parse_frame(text: str) -> Frame:
     # one build per distinct declaration: cyclic groups by order, tables by text
     cyclic: dict[int, FiniteGroup] = {}
     tables: dict[tuple[str, ...], FiniteGroup] = {}
-    # one split per distinct line: a directive into its tokens, a table row
-    # into its text in single spaces and its entries
-    split: dict[str, list[str]] = {}
+    # one split per distinct table row: its text in single spaces and its entries
     table_rows: dict[str, tuple[str, tuple[int, ...]]] = {}
     # the canonical spelling of each entry of an order-n table, per order n
     digits_of: dict[int, dict[str, int]] = {}
@@ -215,10 +197,7 @@ def parse_frame(text: str) -> Frame:
 
     def take() -> tuple[int, list[str]]:
         line, body = take_body()
-        tokens = split.get(body)
-        if tokens is None:
-            tokens = split[body] = body.split()
-        return line, tokens
+        return line, body.split()
 
     def take_table(n: int, line: int, label: str) -> FiniteGroup:
         """The group of the next n rows, built once per distinct table.

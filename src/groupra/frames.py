@@ -18,7 +18,8 @@ every Frame and the frame checks walk only triples.  Conditions (iii) and
 (iv) of a related triple concern the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0
 that phi_xy and phi_yz induce: M0 = H_xy*H_xz and N0 = K_xz*K_yz, and
 phi_xz maps each M0-coset onto the matching N0-coset.  The checks read its
-coset lists straight off ``Frame.records``.
+coset lists straight off ``Frame.records``, and read (iii) off subgroup
+orders (_is_product), with no product built.
 
 P0 = K_xy*H_yz is the canonical system its group keeps, read in one place
 (_p0) for the checks and the algebra's composition rule alike.  The M0- and
@@ -30,13 +31,13 @@ in one place (_slots), read only to name the cosets of a triple that fails
 
 Most of what a triple reads depends on one pair and one subgroup, not on
 the whole triple, so each sweep works it out once: a dict that lives only
-for the sweep keeps the records of each ordered pair, P0 by y and the masks
-of K_xy and H_yz, the images of each record on each P0, the products
-H_xy*H_xz and K_xz*K_yz by group and masks, and the text of each mask a
-violation prints.  Per triple remain the comparisons and, for (iv), the
-images of one coset per generator of G_x; the direct image of every
-H_xz-coset is worked out only where that fails.  Nothing is kept once the
-sweep returns but the report.
+for the sweep keeps P0 by y and the masks of K_xy and H_yz, the images of
+each record on each P0, and the text of each mask a violation prints.  Per
+triple remain the order comparisons of (iii) and, for (iv), the images of
+one coset per generator of G_x; the products of (iii) are built only to
+print a triple that fails it, and the direct image of every H_xz-coset is
+worked out only where (iv) fails.  Nothing is kept once the sweep returns
+but the report.
 """
 
 from __future__ import annotations
@@ -263,6 +264,18 @@ def _times_normal(a: Mask, b: CosetSystem) -> Mask:
     return out
 
 
+def _is_product(c: Mask, a: Mask, b: Mask) -> bool:
+    """Whether the subgroup c, which contains the normal subgroup a, is a*b.
+
+    a*b is a subgroup of order |a|*|b|/|a & b|, and it lies inside c iff b
+    does, since c contains a: so c = a*b iff b lies inside c and
+    |c|*|a & b| = |a|*|b|.
+    """
+    if not is_subset(b, c):
+        return False
+    return c.bit_count() * (a & b).bit_count() == a.bit_count() * b.bit_count()
+
+
 def _p0(frame: Frame, x: str, y: str, z: str) -> CosetSystem:
     """The canonical system of P0 = K_xy*H_yz in G_y for the triple (x,y,z).
 
@@ -273,19 +286,20 @@ def _p0(frame: Frame, x: str, y: str, z: str) -> CosetSystem:
     return enumerate_cosets(frame.groups[y], _times_normal(k_xy.subgroup, h_yz))
 
 
-def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> list[Mask]:
+def _coarse_images(record: IsoRecord, coarse: CosetSystem) -> tuple[Mask, ...]:
     """phi of each coset of a coarse subgroup that contains H, in coarse's order.
 
     Each H-coset lies inside the coarse coset of its least element, so one
     pass over the record's paired lists adds each K-coset to the image of
     the coarse coset that holds its H-coset: one read of coarse's lookup
-    table per H-coset.
+    table per H-coset.  A sweep shares the result among triples, so it is
+    a tuple.
     """
     out = [0] * coarse.count
     where = coarse._where
     for r, kc in zip(record.h.reps, record.k.cosets):
         out[where[r]] |= kc
-    return out
+    return tuple(out)
 
 
 def _slots(ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem) -> list[int]:
@@ -302,7 +316,7 @@ def _slots(ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem) -> list[int]:
 
 
 def _agrees_on_generators(
-    gx: FiniteGroup, ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem, n: list[Mask]
+    gx: FiniteGroup, ryx: IsoRecord, rxz: IsoRecord, p: CosetSystem, n: tuple[Mask, ...]
 ) -> bool:
     """Whether phi_xz sends the H_xz-coset of each generator s of G_x into
     the N0-coset of its slot (_check_triple says why that decides condition
@@ -359,11 +373,17 @@ def _check_triple(
 
     (iii) holds iff M0 = H_xy*H_xz (and, with ``both``, N0 = K_xz*K_yz);
     (iv) iff H_xz lies inside M0 and phi_xz maps each M0-coset onto the
-    matching N0-coset.  Both subgroup products are read off the records'
-    coset lists (_times_normal).  Every fact that depends on fewer than all
-    three indices is read through ``facts``, the sweep's own dict: the
-    records of a pair, P0, the M0- and N0-cosets, the two products and the
-    text of each mask a violation prints.
+    matching N0-coset.  Every fact that depends on fewer than all three
+    indices is read through ``facts``, the sweep's own dict: P0, the M0- and
+    N0-cosets and the text of each mask a violation prints.
+
+    (iii) is decided by orders (_is_product), with no product built: P0
+    contains K_xy and H_yz, so its images M0 = phi_yx(P0) and
+    N0 = phi_yz(P0) are subgroups of G_x and G_z that contain H_xy and K_yz,
+    both normal.  So M0 = H_xy*H_xz iff H_xz lies inside M0 and
+    |M0|*|H_xy & H_xz| = |H_xy|*|H_xz|, and N0 = K_xz*K_yz iff K_xz lies
+    inside N0 and |N0|*|K_xz & K_yz| = |K_xz|*|K_yz|.  Only a triple that
+    fails builds the product its violation prints (_times_normal).
 
     Once H_xz lies inside M0, (iv) is decided on the generators s of G_x
     (_agrees_on_generators): is the K_xz-coset of phi_xz(s) inside the
@@ -385,21 +405,21 @@ def _check_triple(
     failing triple gathers the direct image of every H_xz-coset (_slots)
     and names each M0-coset where it differs, as the full scan always did.
     """
-    rxy, ryx, rxz, ryz = facts[(x, y)], facts[(y, x)], facts[(x, z)], facts[(y, z)]
+    records = frame.records
+    rxy, ryx, rxz, ryz = records[(x, y)], records[(y, x)], records[(x, z)], records[(y, z)]
     h_xz = rxz.h.subgroup
     p = _once(facts, ("P0", y, ryx.h.subgroup, ryz.h.subgroup), _p0, frame, x, y, z)
     m = _once(facts, ("image", y, x, p.subgroup), _coarse_images, ryx, p)
     n = _once(facts, ("image", y, z, p.subgroup), _coarse_images, ryz, p)
     found = []
-    hh = _once(facts, ("product", x, h_xz, rxy.h.subgroup), _times_normal, h_xz, rxy.h)
-    if m[0] != hh:
-        lhs = try_image(rxy, hh)  # only the report needs phi_xy(H_xy*H_xz) itself
+    if not _is_product(m[0], rxy.h.subgroup, h_xz):
+        lhs = try_image(rxy, _times_normal(h_xz, rxy.h))  # phi_xy(H_xy*H_xz)
         shown = f"{_text(facts, lhs)}, expected {_text(facts, p.subgroup)}"
         found.append(("iii", f"image of H_xy*H_xz is {shown}"))
     if both:
         k_xz = rxz.k.subgroup
-        kk = _once(facts, ("product", z, k_xz, ryz.k.subgroup), _times_normal, k_xz, ryz.k)
-        if n[0] != kk:
+        if not _is_product(n[0], ryz.k.subgroup, k_xz):
+            kk = _times_normal(k_xz, ryz.k)
             shown = f"{_text(facts, n[0])}, expected {_text(facts, kk)}"
             found.append(("iii", f"image of K_xy*H_yz is {shown}"))
     if not is_subset(h_xz, m[0]):
@@ -409,14 +429,13 @@ def _check_triple(
         direct = [0] * len(m)
         for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
             direct[j] |= kc
-        if direct != n:
-            for mc, img, nc in zip(m, direct, n):
-                if img != nc:
-                    shown = (
-                        f"{_text(facts, mc)} is {_text(facts, img)}, "
-                        f"induced route gives {_text(facts, nc)}"
-                    )
-                    found.append(("iv", f"direct image of {shown}"))
+        for mc, img, nc in zip(m, direct, n):
+            if img != nc:
+                shown = (
+                    f"{_text(facts, mc)} is {_text(facts, img)}, "
+                    f"induced route gives {_text(facts, nc)}"
+                )
+                found.append(("iv", f"direct image of {shown}"))
     return [Violation(condition, (x, y, z), detail) for condition, detail in found]
 
 
@@ -425,9 +444,9 @@ def _text(facts: dict, mask: Optional[Mask]) -> str:
 
 
 def _sweep(frame: Frame, mode: str, triples: Callable, both: bool) -> FrameCheckReport:
-    # what _check_triple works out once: the records under their pairs,
-    # every other fact under a tagged key; dropped when the sweep returns
-    facts: dict = dict(frame.records)
+    # what _check_triple works out once, each fact under a tagged key;
+    # dropped when the sweep returns
+    facts: dict = {}
     violations: list[Violation] = []
     for block in frame.blocks:
         for x, y, z in triples(block):
@@ -442,10 +461,9 @@ def check_frame_full(frame: Frame) -> FrameCheckReport:
 
     Every ordered triple of a block is checked, repeated and descending
     indices included.  Conditions (i) and (ii) need no check: Frame builds
-    every square and reverse record itself.  The records of each ordered
-    pair, each P0, the M0- and N0-cosets of each record on each P0, each
-    subgroup product and each printed mask text are worked out once per
-    sweep (see the module docstring).
+    every square and reverse record itself.  Each P0, the M0- and N0-cosets
+    of each record on each P0 and each printed mask text are worked out once
+    per sweep (see the module docstring).
     """
     return _sweep(frame, "full", lambda block: product(block, repeat=3), both=False)
 

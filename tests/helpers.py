@@ -4,7 +4,7 @@ the census of small frames."""
 import random
 from itertools import permutations, product
 from math import gcd
-from typing import Iterator
+from typing import Iterator, Optional
 
 from groupra.builders import build_cyclic_frame, cyclic_iso_record
 from groupra.algebra import AtomIndex, GroupRelationAlgebra
@@ -14,8 +14,10 @@ from groupra.frames import (
     IsoRecord,
     _agrees_on_generators,
     _coarse_images,
+    _is_product,
     _p0,
     _slots,
+    _times_normal,
 )
 from groupra.groups import (
     CosetSystem,
@@ -238,19 +240,38 @@ def small_frame_census() -> Iterator[Frame]:
             yield Frame(groups, [["0", "1", "2"]], isos)
 
 
-def iv_verdicts(frame: Frame) -> Iterator[tuple[bool, bool]]:
-    """At each ordered triple where H_xz lies inside M0: whether the
+def triple_verdicts(
+    frame: Frame,
+) -> Iterator[tuple[tuple[bool, bool], tuple[bool, bool], Optional[tuple[bool, bool]]]]:
+    """Three verdict pairs at each ordered triple.
+
+    The first two are the equations of condition (iii), M0 = H_xy*H_xz and
+    N0 = K_xz*K_yz, each decided off subgroup orders (frames._is_product)
+    and against the product itself (frames._times_normal).  The third, only
+    where H_xz lies inside M0 (else None), is condition (iv): whether the
     generators of G_x agree (frames._agrees_on_generators), and whether
     phi_xz's direct images, gathered coset by coset, equal the N0-cosets.
     """
     for block in frame.blocks:
         for x, y, z in product(block, repeat=3):
-            ryx, ryz, rxz = frame.records[(y, x)], frame.records[(y, z)], frame.records[(x, z)]
+            rxy, ryx = frame.records[(x, y)], frame.records[(y, x)]
+            rxz, ryz = frame.records[(x, z)], frame.records[(y, z)]
             p = _p0(frame, x, y, z)
             m, n = _coarse_images(ryx, p), _coarse_images(ryz, p)
-            if not is_subset(rxz.h.subgroup, m[0]):
+            h_xz, k_xz = rxz.h.subgroup, rxz.k.subgroup
+            iii_m = _is_product(m[0], rxy.h.subgroup, h_xz), m[0] == _times_normal(h_xz, rxy.h)
+            iii_n = _is_product(n[0], ryz.k.subgroup, k_xz), n[0] == _times_normal(k_xz, ryz.k)
+            if not is_subset(h_xz, m[0]):
+                yield iii_m, iii_n, None
                 continue
             direct = [0] * p.count
             for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
                 direct[j] |= kc
-            yield _agrees_on_generators(frame.groups[x], ryx, rxz, p, n), direct == n
+            iv = _agrees_on_generators(frame.groups[x], ryx, rxz, p, n), tuple(direct) == n
+            yield iii_m, iii_n, iv
+
+
+def iv_verdicts(frame: Frame) -> Iterator[tuple[bool, bool]]:
+    """The condition (iv) pairs of triple_verdicts, at each ordered triple
+    where H_xz lies inside M0."""
+    return (iv for _, _, iv in triple_verdicts(frame) if iv is not None)

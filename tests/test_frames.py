@@ -34,7 +34,13 @@ from groupra.groups import (
     mask_of,
 )
 
-from tests.helpers import corrupt_kappa, corrupt_map, iv_verdicts, small_frame_census
+from tests.helpers import (
+    corrupt_kappa,
+    corrupt_map,
+    iv_verdicts,
+    small_frame_census,
+    triple_verdicts,
+)
 from tests.test_algebra import centre, dihedral_square, quaternion_units
 from tests.test_groups import PERM_GENERATORS, closure, perm_group
 
@@ -667,6 +673,27 @@ def test_sweeps_image_each_pair_once_per_p0(monkeypatch):
     assert len(calls) == len(set(calls)) <= 251
 
 
+def test_passing_full_check_builds_products_only_for_p0(monkeypatch):
+    import groupra.frames
+
+    calls = []
+
+    def counting(name):
+        real = getattr(groupra.frames, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_p0", "_times_normal"):
+        monkeypatch.setattr(groupra.frames, name, counting(name))
+    # condition (iii) is read off orders: only P0 = K_xy*H_yz is a product
+    assert check_frame_full(z48_frames()["z48x12"]).ok
+    assert calls.count("_times_normal") == calls.count("_p0") > 0
+
+
 def _report_pin(reports: list[list[str]]) -> tuple[int, str]:
     text = "\n".join(line for lines in reports for line in lines)
     return len(text.splitlines()), sha256(text.encode()).hexdigest()
@@ -784,12 +811,18 @@ def test_census_of_small_frames():
     catalogue = ["Z1", "Z2", "Z3", "Z4", "V4"]
     frames = passing = ascending = ascending_passing = 0
     verdicts = {}
+    equations = {}
     for frame in small_frame_census():
         ok = check_frame_reduced(frame).ok
         assert check_frame_full(frame).ok == ok, frame
-        for generators, direct in iv_verdicts(frame):
-            assert generators == direct, frame
-            verdicts[direct] = verdicts.get(direct, 0) + 1
+        for iii_m, iii_n, iv in triple_verdicts(frame):
+            for name, (orders, products) in (("M0", iii_m), ("N0", iii_n)):
+                assert orders == products, (name, frame)
+                equations[name, products] = equations.get((name, products), 0) + 1
+            if iv is not None:
+                generators, direct = iv
+                assert generators == direct, frame
+                verdicts[direct] = verdicts.get(direct, 0) + 1
         frames += 1
         passing += ok
         ranks = [catalogue.index(g.label) for g in frame.groups.values()]
@@ -801,3 +834,11 @@ def test_census_of_small_frames():
     assert (ascending, ascending_passing) == (4_943, 1_013)
     # triples with H_xz inside M0 whose direct images match / miss the N0-cosets
     assert verdicts == {True: 160_200, False: 7_500}
+    # each (iii) equation at every ordered triple holds / fails, off orders and products
+    # alike; N0 at (x,y,z) is M0 at (z,y,x), so the two counts are equal
+    assert equations == {
+        ("M0", True): 159_522,
+        ("M0", False): 18_732,
+        ("N0", True): 159_522,
+        ("N0", False): 18_732,
+    }
