@@ -21,7 +21,6 @@ cosets is the coset of a product of representatives, one coset lookup each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
@@ -161,15 +160,13 @@ class FrameElement:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class MeasureEntry:
+class MeasureEntry(NamedTuple):
     x: str
     atom: AtomIndex
     measure: int
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     entries: tuple[MeasureEntry, ...]
     pair_dense: bool
     singleton_dense: bool

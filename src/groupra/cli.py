@@ -7,6 +7,12 @@ reproducible.
 Each call of ``main`` builds its argument parser afresh, with only the
 subcommand its argv names (see ``_build_parser``), so it may be called
 repeatedly in one process.
+
+Importing this module loads the parser, the reader and the engine that
+every command reads a frame with (``fileformat``, ``frames``, ``groups``,
+``algebra`` and ``relations``).  A module only one command needs is
+imported in that command's handler: ``builders`` in ``gen`` and
+``verification`` in ``verify``.
 """
 
 from __future__ import annotations
@@ -16,13 +22,11 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .algebra import AtomIndex, GroupRelationAlgebra, atom_relation_of
-from .builders import build_cyclic_frame, build_power_frame, check_power_copies
 from .errors import FrameBuildError, FrameFormatError
 from .fileformat import _content_bodies, _int, _ints, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
 from .groups import _fmt_mask, mask_of, validate_table
 from .relations import rel_compose, rel_converse
-from .verification import verify_algebra
 
 __all__ = ["main", "run"]
 
@@ -183,6 +187,8 @@ def _int_list(arg: str, source: str, what: str) -> list[int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .builders import build_cyclic_frame, build_power_frame, check_power_copies
+
     try:
         if args.family == "cyclic":
             orders = _int_list(args.spec, "orders", "group order")
@@ -209,6 +215,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import verify_algebra
+
     alg = _load_algebra(args.file)
     bad = False
     for name, failures in verify_algebra(alg):

@@ -60,7 +60,6 @@ single spaces.  Emitting a parsed emission reproduces it byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -88,17 +87,20 @@ from .groups import (
 __all__ = ["parse_frame", "emit_frame"]
 
 
-@dataclass
 class _IsoDirective:
-    line: int
-    x: str
-    y: str
-    h_line: int = 0
-    h_elems: list[int] = field(default_factory=list)
-    k_line: int = 0
-    k_elems: list[int] = field(default_factory=list)
-    map_line: int = 0
-    entries: list[tuple[int, int]] = field(default_factory=list)
+    """One iso directive as read: its line and pair, then the line and
+    values of its H, K and map parts as the reader meets them."""
+
+    def __init__(self, line: int, x: str, y: str) -> None:
+        self.line = line
+        self.x = x
+        self.y = y
+        self.h_line = 0
+        self.h_elems: list[int] = []
+        self.k_line = 0
+        self.k_elems: list[int] = []
+        self.map_line = 0
+        self.entries: list[tuple[int, int]] = []
 
 
 def _int(token: str, line: int, what: str) -> int:

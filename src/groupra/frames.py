@@ -42,10 +42,9 @@ but the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidFrameError, NotASubgroupError, NotNormalError, NotRelatedError
 from .groups import (
@@ -68,8 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IsoRecord:
+class IsoRecord(NamedTuple):
     """One quotient isomorphism G_x/H -> G_y/K with associated coset lists."""
 
     x: str
@@ -333,8 +331,7 @@ def _agrees_on_generators(
 # -- frame conditions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     where: tuple[str, ...]
     detail: str
@@ -344,8 +341,7 @@ class Violation:
         return f"violation ({self.condition}) at ({spot}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class FrameCheckReport:
+class FrameCheckReport(NamedTuple):
     mode: str
     violations: tuple[Violation, ...]
 

@@ -7,10 +7,9 @@ bitmasks: bit e is set iff element e belongs to the subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import (
     GroupTableError,
@@ -84,7 +83,17 @@ def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 
 
-@dataclass(frozen=True)
+def _refuse_write(self, name: str, *value: object) -> NoReturn:
+    """__setattr__ and __delattr__ of a read-only class: refuse every write."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# A read-only class's __init__ stores its fields with this, past _refuse_write.
+# Unlike a write to the instance's __dict__, it leaves the values inline in
+# the object, where attribute reads are fastest.
+_store = object.__setattr__
+
+
 class FiniteGroup:
     """A finite group given by its full operation table.
 
@@ -97,29 +106,52 @@ class FiniteGroup:
     its normal subgroups (``_cosets``, filled by enumerate_cosets) and its
     greedy generating set.  ``relabelled`` gives the same table under
     another label with those proofs shared, not redone.
+
+    Groups are read-only and compare and hash by ``order``, ``op`` and
+    ``inverse``; the label and the kept proofs play no part.
     """
 
     order: int
     op: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
-    label: str = field(default="G", compare=False)
-    _cosets: dict[Mask, CosetSystem] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    label: str
+    _cosets: dict[Mask, CosetSystem]
 
-    def __post_init__(self) -> None:
-        n = self.order
+    def __init__(
+        self,
+        order: int,
+        op: tuple[tuple[int, ...], ...],
+        inverse: tuple[int, ...],
+        label: str = "G",
+    ) -> None:
+        n = order
         check_group_order(n)
-        if len(self.op) != n or any(len(row) != n for row in self.op):
+        if len(op) != n or any(len(row) != n for row in op):
             raise GroupTableError(f"operation table is not {n}x{n}")
-        if len(self.inverse) != n:
-            raise GroupTableError(f"inverse table has {len(self.inverse)} entries, expected {n}")
+        if len(inverse) != n:
+            raise GroupTableError(f"inverse table has {len(inverse)} entries, expected {n}")
         for i in range(n):
-            if self.op[0][i] != i or self.op[i][0] != i:
+            if op[0][i] != i or op[i][0] != i:
                 raise GroupTableError(f"index 0 is not a two-sided identity (fails at {i})")
-            j = self.inverse[i]
-            if not 0 <= j < n or self.op[i][j] != 0 or self.op[j][i] != 0:
+            j = inverse[i]
+            if not 0 <= j < n or op[i][j] != 0 or op[j][i] != 0:
                 raise GroupTableError(f"inverse table wrong at element {i}")
+        _store(self, "order", order)
+        _store(self, "op", op)
+        _store(self, "inverse", inverse)
+        _store(self, "label", label)
+        _store(self, "_cosets", {})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.op, self.inverse) == (other.order, other.op, other.inverse)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.op, self.inverse))
+
+    __setattr__ = _refuse_write
+    __delattr__ = _refuse_write
 
     def mul(self, a: int, b: int) -> int:
         return self.op[a][b]
@@ -347,7 +379,6 @@ def is_normal(g: FiniteGroup, h: Mask) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CosetSystem:
     """An enumeration of the cosets of a normal subgroup.
 
@@ -366,12 +397,23 @@ class CosetSystem:
     ``permuted`` lists a proven system's cosets in another order, the image
     order of a quotient isomorphism; it reads both tables through the
     permutation instead of building them again from the masks.
+
+    Systems are read-only and compare and hash by ``subgroup`` and
+    ``cosets``; ``reps`` and ``_where``, built or not, play no part.
     """
 
     subgroup: Mask
     cosets: tuple[Mask, ...]
 
+    def __init__(self, subgroup: Mask, cosets: tuple[Mask, ...]) -> None:
+        _store(self, "subgroup", subgroup)
+        _store(self, "cosets", cosets)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """The construction check, which ``permuted`` skips: coset 0 is the
+        subgroup, which holds the identity, and the cosets are pairwise
+        disjoint and of its size."""
         if not self.cosets or self.cosets[0] != self.subgroup:
             raise ValueError("coset 0 must be the subgroup itself")
         if not self.subgroup & 1:
@@ -384,6 +426,20 @@ class CosetSystem:
             if seen & c:
                 raise ValueError("cosets must be pairwise disjoint")
             seen |= c
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subgroup, self.cosets) == (other.subgroup, other.cosets)
+
+    def __hash__(self) -> int:
+        return hash((self.subgroup, self.cosets))
+
+    def __repr__(self) -> str:
+        return f"CosetSystem(subgroup={self.subgroup!r}, cosets={self.cosets!r})"
+
+    __setattr__ = _refuse_write
+    __delattr__ = _refuse_write
 
     @property
     def count(self) -> int:
@@ -556,8 +612,7 @@ def homomorphism_defect(
     return None
 
 
-@dataclass(frozen=True)
-class IsoCheck:
+class IsoCheck(NamedTuple):
     """Outcome of a quotient-isomorphism check; witness explains failures."""
 
     ok: bool

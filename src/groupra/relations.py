@@ -7,10 +7,9 @@ each other.  Row a of a relation is the bitmask of all b with (a,b) in R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup, iter_bits
+from .groups import FiniteGroup, _refuse_write, _store, iter_bits
 
 __all__ = [
     "ConcreteRelation",
@@ -22,17 +21,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ConcreteRelation:
+    """A read-only relation on 0..size-1, compared and hashed by its rows."""
+
     size: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.size:
-            raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
-        top = (1 << self.size) - 1
-        if any(r & ~top for r in self.rows):
+    def __init__(self, size: int, rows: tuple[int, ...]) -> None:
+        if len(rows) != size:
+            raise ValueError(f"expected {size} rows, got {len(rows)}")
+        top = (1 << size) - 1
+        if any(r & ~top for r in rows):
             raise ValueError("row mask reaches outside the base set")
+        _store(self, "size", size)
+        _store(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.rows) == (other.size, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.rows))
+
+    __setattr__ = _refuse_write
+    __delattr__ = _refuse_write
 
     @classmethod
     def empty(cls, size: int) -> "ConcreteRelation":
