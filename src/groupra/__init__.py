@@ -6,10 +6,10 @@ the frames, checks the frame conditions, computes with the atoms
 symbolically, and cross-checks everything against plain bit-matrix
 relation arithmetic.
 
-``import groupra`` loads no submodule.  Each public name in ``__all__`` is
-looked up in the submodule that defines it on first access (a PEP 562
-module ``__getattr__``), which loads that submodule and what it imports,
-and is kept here after that.  ``from groupra import X`` and
+``import groupra`` loads no groupra submodule.  Each public name in
+``__all__`` is looked up in the submodule that defines it on first access
+(a PEP 562 module ``__getattr__``), which loads that submodule and what
+it imports, and is kept here after that.  ``from groupra import X`` and
 ``groupra.<submodule>``, for each submodule that defines one of those
 names, work as if everything had been imported up front.
 """

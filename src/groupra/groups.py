@@ -406,26 +406,23 @@ class CosetSystem:
     cosets: tuple[Mask, ...]
 
     def __init__(self, subgroup: Mask, cosets: tuple[Mask, ...]) -> None:
-        _store(self, "subgroup", subgroup)
-        _store(self, "cosets", cosets)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """The construction check, which ``permuted`` skips: coset 0 is the
-        subgroup, which holds the identity, and the cosets are pairwise
-        disjoint and of its size."""
-        if not self.cosets or self.cosets[0] != self.subgroup:
+        # the construction check, which permuted skips: coset 0 is the
+        # subgroup, which holds the identity, and the cosets are pairwise
+        # disjoint and of its size
+        if not cosets or cosets[0] != subgroup:
             raise ValueError("coset 0 must be the subgroup itself")
-        if not self.subgroup & 1:
+        if not subgroup & 1:
             raise ValueError("subgroup must contain the identity")
-        size = self.subgroup.bit_count()
+        size = subgroup.bit_count()
         seen = 0
-        for c in self.cosets:
+        for c in cosets:
             if c.bit_count() != size:
                 raise ValueError("cosets must all have the subgroup's size")
             if seen & c:
                 raise ValueError("cosets must be pairwise disjoint")
             seen |= c
+        _store(self, "subgroup", subgroup)
+        _store(self, "cosets", cosets)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

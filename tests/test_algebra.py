@@ -612,13 +612,13 @@ def test_rules_build_no_coset_system_but_p0(monkeypatch):
     groups = list({id(g): g for g in frame.groups.values()}.values())
     before = sum(len(g._cosets) for g in groups)
     built = []
-    real = CosetSystem.__post_init__
+    real = CosetSystem.__init__
 
-    def counting(self):
-        built.append(self.subgroup)
-        real(self)
+    def counting(self, subgroup, cosets):
+        built.append(subgroup)
+        real(self, subgroup, cosets)
 
-    monkeypatch.setattr(CosetSystem, "__post_init__", counting)
+    monkeypatch.setattr(CosetSystem, "__init__", counting)
     for x, y, z in itertools.product(frame.order, repeat=3):
         alg._rule(x, y, z)
     assert len(alg._rules) == 64

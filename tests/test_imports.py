@@ -74,7 +74,9 @@ def fresh_imports() -> dict:
 
 def test_import_groupra_loads_no_submodule_and_cli_only_what_every_command_needs():
     steps = fresh_imports()
-    assert steps["groupra"] == ["groupra"]
+    # only groupra's own modules: what the standard library loads for it
+    # depends on what the interpreter had loaded at start-up
+    assert [m for m in steps["groupra"] if m.split(".")[0] == "groupra"] == ["groupra"]
     cli = steps["groupra.cli"]
     assert "groupra.cli" in cli
     for lazy in ("dataclasses", "groupra.builders", "groupra.verification"):
