@@ -7,6 +7,8 @@ each other.  Row a of a relation is the bitmask of all b with (a,b) in R.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .groups import FiniteGroup, _refuse_write, _store, iter_bits
@@ -22,7 +24,12 @@ __all__ = [
 
 
 class ConcreteRelation:
-    """A read-only relation on 0..size-1, compared and hashed by its rows."""
+    """A read-only relation on 0..size-1, compared and hashed by its rows.
+
+    The constructor refuses a row count other than ``size`` first, then any
+    row that is negative or has a bit at ``size`` or above.  It reads the
+    second fault off the OR of all rows, one C-level pass.
+    """
 
     size: int
     rows: tuple[int, ...]
@@ -30,8 +37,7 @@ class ConcreteRelation:
     def __init__(self, size: int, rows: tuple[int, ...]) -> None:
         if len(rows) != size:
             raise ValueError(f"expected {size} rows, got {len(rows)}")
-        top = (1 << size) - 1
-        if any(r & ~top for r in rows):
+        if rows and reduce(or_, rows) >> size:
             raise ValueError("row mask reaches outside the base set")
         _store(self, "size", size)
         _store(self, "rows", rows)
@@ -96,9 +102,12 @@ def rel_compose(r: ConcreteRelation, s: ConcreteRelation) -> ConcreteRelation:
 def rel_converse(r: ConcreteRelation) -> ConcreteRelation:
     rows = [0] * r.size
     for a, row in enumerate(r.rows):
-        bit = 1 << a
-        for b in iter_bits(row):
-            rows[b] |= bit
+        if row:
+            bit = 1 << a
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= bit
+                row ^= low
     return ConcreteRelation(r.size, tuple(rows))
 
 

@@ -153,12 +153,47 @@ def test_compose_and_converse_at_high_ids_of_a_large_base():
 
 
 def test_relation_refuses_the_wrong_row_count():
-    with pytest.raises(ValueError) as info:
-        ConcreteRelation(3, (1, 2))
-    assert str(info.value) == "expected 3 rows, got 2"
+    # a row outside the base does not hide a wrong row count
+    for rows in ((1, 2), (1, 0b1000), (-1,), (0, 0, 0b1000, 0)):
+        with pytest.raises(ValueError) as info:
+            ConcreteRelation(3, rows)
+        assert str(info.value) == f"expected 3 rows, got {len(rows)}"
 
 
 def test_relation_refuses_a_row_outside_the_base():
-    with pytest.raises(ValueError) as info:
-        ConcreteRelation(3, (1, 0b1000, 4))
-    assert str(info.value) == "row mask reaches outside the base set"
+    cases = [(3, (1, 0b1000, 4)), (3, (1, -1, 4))]
+    cases += [(size, (0,) * (size - 1) + (1 << size,)) for size in (1, 63, 64, 65)]
+    for size, rows in cases:
+        with pytest.raises(ValueError) as info:
+            ConcreteRelation(size, rows)
+        assert str(info.value) == "row mask reaches outside the base set"
+
+
+def test_relation_accepts_rows_up_to_bit_size_minus_one():
+    for size in (1, 63, 64, 65):
+        r = ConcreteRelation(size, (1 << (size - 1),) + (0,) * (size - 1))
+        assert r.pairs() == [(0, size - 1)]
+    assert ConcreteRelation(0, ()).pairs() == []
+
+
+def random_pairs_with_empty_rows(rng, size):
+    """Pairs of a random relation on size ids where about a third of the rows are empty."""
+    return {
+        (a, b)
+        for a in range(size)
+        if rng.random() >= 1 / 3
+        for b in range(size)
+        if rng.random() < 0.2
+    }
+
+
+def test_compose_and_converse_match_pair_sets_across_word_boundaries():
+    rng = random.Random(6465)
+    for size in (0, 1, 63, 64, 65, 130):
+        relations = [set(), *(random_pairs_with_empty_rows(rng, size) for _ in range(3))]
+        for r in relations:
+            rr = ConcreteRelation.from_pairs(size, r)
+            assert set(rel_converse(rr).pairs()) == {(b, a) for a, b in r}
+            for s in relations:
+                got = rel_compose(rr, ConcreteRelation.from_pairs(size, s))
+                assert set(got.pairs()) == pair_compose(r, s)

@@ -14,6 +14,7 @@ from groupra.verification import (
     check_image_equations,
     check_involution,
     check_oracle_composition,
+    check_oracle_converse,
     check_partition,
     verify_algebra,
 )
@@ -72,6 +73,23 @@ def test_composition_oracle_names_a_wrong_engine_answer(running_frame, monkeypat
         monkeypatch.setattr(alg, "compose_atoms", wrong)
         expected = f"{a.label()};{b.label()} disagrees with the oracle"
         assert check_oracle_composition(alg) == [expected]
+
+
+def test_converse_oracle_names_a_wrong_converse(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    atoms = alg.atoms()
+    assert check_oracle_converse(alg) == []
+    real = alg.converse_atom
+    for a in (atoms[0], next(a for a in atoms if a.x != a.y)):
+        right = real(a)
+        wrong_answer = next(t for t in atoms if t != right)
+
+        def wrong(p, a=a, wrong_answer=wrong_answer):
+            return wrong_answer if p == a else real(p)
+
+        monkeypatch.setattr(alg, "converse_atom", wrong)
+        expected = f"converse of {a.label()} disagrees with the oracle"
+        assert check_oracle_converse(alg) == [expected]
 
 
 def test_image_equations_hold_on_random_frames():
