@@ -6,8 +6,9 @@ it over, so the returned frames are immediately usable by the algebra.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import FrameBuildError
 from .frames import Frame, IsoRecord, check_frame_reduced
@@ -96,46 +97,46 @@ def cyclic_iso_record(x: str, y: str, nx: int, ny: int, kappa: int) -> IsoRecord
     return IsoRecord(x, y, _cyclic_cosets(nx, kappa), _cyclic_cosets(ny, kappa))
 
 
+def _matrix_entries(rows: list[list[int]]) -> Iterator[tuple[tuple[int, int], int]]:
+    """The entries of a square kappa matrix in the mapping form: row i's
+    diagonal entry, then (i,j) and (j,i) for each j > i.  A pair that is
+    zero on both sides marks unrelated groups and is left out."""
+    for i, row in enumerate(rows):
+        yield (i, i), row[i]
+        for j in range(i + 1, len(rows)):
+            if row[j] != rows[j][i] or row[j]:
+                yield (i, j), row[j]
+                yield (j, i), rows[j][i]
+
+
 def _normalize_kappa(
     orders: Sequence[int], kappa: KappaSpec
 ) -> dict[tuple[int, int], int]:
     m = len(orders)
-    out: dict[tuple[int, int], int] = {}
     if isinstance(kappa, Mapping):
-        for (i, j), value in kappa.items():
-            if not (0 <= i < m and 0 <= j < m):
-                raise FrameBuildError(f"kappa entry ({i},{j}) is out of range")
-            if i == j:
-                if value != orders[i]:
-                    raise FrameBuildError(
-                        f"condition (ii): kappa[{i}][{i}] = {value} "
-                        f"but group {i} has order {orders[i]}"
-                    )
-                continue
-            a, b = min(i, j), max(i, j)
-            if out.setdefault((a, b), value) != value:
-                raise FrameBuildError(
-                    f"condition (iii): kappa[{a}][{b}] = {out[(a, b)]} "
-                    f"but kappa[{b}][{a}] = {value}"
-                )
+        entries = kappa.items()
     else:
         rows = [list(r) for r in kappa]
         if len(rows) != m or any(len(r) != m for r in rows):
             raise FrameBuildError(f"kappa matrix is not {m}x{m}")
-        for i in range(m):
-            if rows[i][i] != orders[i]:
+        entries = _matrix_entries(rows)
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), value in entries:
+        if not (0 <= i < m and 0 <= j < m):
+            raise FrameBuildError(f"kappa entry ({i},{j}) is out of range")
+        if i == j:
+            if value != orders[i]:
                 raise FrameBuildError(
-                    f"condition (ii): kappa[{i}][{i}] = {rows[i][i]} "
+                    f"condition (ii): kappa[{i}][{i}] = {value} "
                     f"but group {i} has order {orders[i]}"
                 )
-            for j in range(i + 1, m):
-                if rows[i][j] != rows[j][i]:
-                    raise FrameBuildError(
-                        f"condition (iii): kappa[{i}][{j}] = {rows[i][j]} "
-                        f"but kappa[{j}][{i}] = {rows[j][i]}"
-                    )
-                if rows[i][j]:
-                    out[(i, j)] = rows[i][j]
+            continue
+        a, b = min(i, j), max(i, j)
+        if out.setdefault((a, b), value) != value:
+            raise FrameBuildError(
+                f"condition (iii): kappa[{a}][{b}] = {out[(a, b)]} "
+                f"but kappa[{b}][{a}] = {value}"
+            )
     for (i, j), value in out.items():
         if value <= 0:
             raise FrameBuildError(f"kappa[{i}][{j}] = {value} must be positive")
@@ -178,19 +179,14 @@ def build_cyclic_frame(orders: Sequence[int], kappa: KappaSpec) -> Frame:
                 )
     blocks_idx = sorted({tuple(sorted(v)) for v in related.values()})
     for block in blocks_idx:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                for c in range(b + 1, len(block)):
-                    i, j, l = block[a], block[b], block[c]
-                    kij = pairs[(i, j)]
-                    kjl = pairs[(j, l)]
-                    kil = pairs[(i, l)]
-                    g1, g2, g3 = gcd(kij, kjl), gcd(kij, kil), gcd(kil, kjl)
-                    if not g1 == g2 == g3:
-                        raise FrameBuildError(
-                            f"condition (iv): gcds at ({i},{j},{l}) are "
-                            f"{g1}, {g2}, {g3} but must all agree"
-                        )
+        for i, j, l in combinations(block, 3):
+            kij, kjl, kil = pairs[(i, j)], pairs[(j, l)], pairs[(i, l)]
+            g1, g2, g3 = gcd(kij, kjl), gcd(kij, kil), gcd(kil, kjl)
+            if not g1 == g2 == g3:
+                raise FrameBuildError(
+                    f"condition (iv): gcds at ({i},{j},{l}) are "
+                    f"{g1}, {g2}, {g3} but must all agree"
+                )
     ids = [str(i) for i in range(len(orders))]
     # one group per distinct order, shared by its indices as parse_frame does
     cyclic = {n: make_cyclic(n) for n in dict.fromkeys(orders)}

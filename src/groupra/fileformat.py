@@ -118,21 +118,20 @@ def _ints(tokens: list[str], line: int, what: str) -> list[int]:
         return [_int(t, line, what) for t in tokens]
 
 
+def _map_entry(token: str, line: int) -> tuple[int, int]:
+    """One h:k entry of a map line; a FrameFormatError names its fault."""
+    h_part, sep, k_part = token.partition(":")
+    if not sep:
+        raise FrameFormatError(line, f"map entry {token!r} lacks ':'")
+    return _int(h_part, line, "map representative"), _int(k_part, line, "map image")
+
+
 def _map_entries(tokens: list[str], line: int) -> list[tuple[int, int]]:
     """The h:k entries of a map line; a FrameFormatError names the first bad one."""
     try:
         return [(int(h), int(k)) for h, _, k in (t.partition(":") for t in tokens)]
     except ValueError:  # a token without ':' has k == "", which int refuses too
-        pass
-    entries = []
-    for token in tokens:
-        h_part, sep, k_part = token.partition(":")
-        if not sep:
-            raise FrameFormatError(line, f"map entry {token!r} lacks ':'")
-        entries.append(
-            (_int(h_part, line, "map representative"), _int(k_part, line, "map image"))
-        )
-    return entries
+        return [_map_entry(t, line) for t in tokens]
 
 
 def _read_text(path: str) -> str:
@@ -329,9 +328,7 @@ def parse_frame(text: str) -> Frame:
     ordered_blocks = [members for _, members in blocks]
     try:
         return Frame(groups, ordered_blocks, isos)
-    except InvalidFrameError as exc:
-        if exc.witness is None:  # every other fault was reported above
-            raise
+    except InvalidFrameError as exc:  # every other fault was reported above
         line = next(d.map_line for d in directives if (d.x, d.y) == exc.pair)
         raise FrameFormatError(line, f"map is not a quotient isomorphism: {exc.witness}") from None
 

@@ -14,7 +14,9 @@ phi applied to h.cosets[g], so the index map of every record is literally
 the identity.
 
 These two derivations are frame conditions (i) and (ii), so both hold for
-every Frame and the frame checks walk only triples.  Conditions (iii) and
+every Frame and the frame checks walk only triples of distinct indices: at
+a triple with a repeated index, (iii) and (iv) only restate (i) and (ii)
+(check_frame_full gives the proof).  Conditions (iii) and
 (iv) of a related triple concern the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0
 that phi_xy and phi_yz induce: M0 = H_xy*H_xz and N0 = K_xz*K_yz, and
 phi_xz maps each M0-coset onto the matching N0-coset.  The checks read its
@@ -42,7 +44,7 @@ but the report.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -453,15 +455,31 @@ def _sweep(frame: Frame, mode: str, triples: Callable, both: bool) -> FrameCheck
 
 
 def check_frame_full(frame: Frame) -> FrameCheckReport:
-    """Check conditions (iii) and (iv) at every related triple.
+    """Check conditions (iii) and (iv) at every related triple of distinct
+    indices.
 
-    Every ordered triple of a block is checked, repeated and descending
-    indices included.  Conditions (i) and (ii) need no check: Frame builds
-    every square and reverse record itself.  Each P0, the M0- and N0-cosets
-    of each record on each P0 and each printed mask text are worked out once
-    per sweep (see the module docstring).
+    Every ordered triple of three distinct indices of a block is checked,
+    descending ones included, in the order product(block, repeat=3) meets
+    them.  Conditions (i) and (ii) need no check: Frame builds every square
+    and reverse record itself, so phi_xx is the identity on G_x/{e} and
+    phi_yx = phi_xy^-1.  With them, no triple with a repeated index can
+    fail (iii) or (iv):
+
+    * x = y: P0 = K_xx*H_xz = H_xz, so M0 = H_xz = H_xx*H_xz and
+      N0 = phi_xz(H_xz) = K_xz = K_xz*K_xz; the route through y is phi_xz
+      itself.
+    * y = z: P0 = K_xy*H_yy = K_xy, so M0 = H_xy = H_xy*H_xz and
+      N0 = K_xy = K_xz*K_yy; the route phi_yy o phi_xy is phi_xz.
+    * x = z: P0 = K_xy*H_yx = K_xy, so M0 = N0 = H_xy; the route
+      phi_yx o phi_xy is the identity on G_x/H_xy, which is what phi_xx
+      gives.
+
+    Each P0, the M0- and N0-cosets of each record on each P0 and each
+    printed mask text are worked out once per sweep (see the module
+    docstring).  verification.check_image_equations is the independent
+    elementwise sweep: it still walks every ordered triple.
     """
-    return _sweep(frame, "full", lambda block: product(block, repeat=3), both=False)
+    return _sweep(frame, "full", lambda block: permutations(block, 3), both=False)
 
 
 def check_frame_reduced(frame: Frame) -> FrameCheckReport:

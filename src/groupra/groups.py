@@ -341,7 +341,13 @@ def subgroup_defect(g: FiniteGroup, h: Mask) -> Optional[str]:
 
 
 def _subgroup_generators(g: FiniteGroup, h: Mask) -> tuple[Optional[list[int]], Optional[str]]:
-    """(a generating set of h, None) if h is a subgroup of g, else (None, witness)."""
+    """(a generating set of h, None) if h is a subgroup of g, else (None, witness).
+
+    A negative mask is refused first: it has infinitely many set bits, so
+    no walk over its elements ends.
+    """
+    if h < 0:
+        return None, f"mask {h} is negative"
     if not is_subset(h, full_mask(g.order)):
         return None, f"subset {elements(h)} contains indices outside the group"
     if not h & 1:
@@ -508,7 +514,8 @@ def enumerate_cosets(g: FiniteGroup, h: Mask) -> CosetSystem:
         return hit
     gens, defect = _subgroup_generators(g, h)
     if gens is None:
-        raise NotASubgroupError(f"{elements(h)} is not a subgroup of {g.label}: {defect}")
+        shown = elements(h) if h >= 0 else h
+        raise NotASubgroupError(f"{shown} is not a subgroup of {g.label}: {defect}")
     for s in g._generating_set:
         row, s_inv = g.op[s], g.inverse[s]
         if any(not h >> g.op[row[t]][s_inv] & 1 for t in gens):

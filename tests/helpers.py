@@ -240,14 +240,19 @@ def small_frame_census() -> Iterator[Frame]:
             yield Frame(groups, [["0", "1", "2"]], isos)
 
 
+Verdict = tuple[bool, bool]
+
+
 def triple_verdicts(
     frame: Frame,
-) -> Iterator[tuple[tuple[bool, bool], tuple[bool, bool], Optional[tuple[bool, bool]]]]:
-    """Three verdict pairs at each ordered triple.
+) -> Iterator[tuple[tuple[str, str, str], Verdict, Verdict, Optional[Verdict]]]:
+    """Each ordered triple, repeated indices included, with three verdict
+    pairs.
 
-    The first two are the equations of condition (iii), M0 = H_xy*H_xz and
-    N0 = K_xz*K_yz, each decided off subgroup orders (frames._is_product)
-    and against the product itself (frames._times_normal).  The third, only
+    The first two pairs are the equations of condition (iii),
+    M0 = H_xy*H_xz and N0 = K_xz*K_yz, each decided off subgroup orders
+    (frames._is_product) and against the product itself
+    (frames._times_normal).  The third, only
     where H_xz lies inside M0 (else None), is condition (iv): whether the
     generators of G_x agree (frames._agrees_on_generators), and whether
     phi_xz's direct images, gathered coset by coset, equal the N0-cosets.
@@ -262,16 +267,16 @@ def triple_verdicts(
             iii_m = _is_product(m[0], rxy.h.subgroup, h_xz), m[0] == _times_normal(h_xz, rxy.h)
             iii_n = _is_product(n[0], ryz.k.subgroup, k_xz), n[0] == _times_normal(k_xz, ryz.k)
             if not is_subset(h_xz, m[0]):
-                yield iii_m, iii_n, None
+                yield (x, y, z), iii_m, iii_n, None
                 continue
             direct = [0] * p.count
             for j, kc in zip(_slots(ryx, rxz, p), rxz.k.cosets):
                 direct[j] |= kc
             iv = _agrees_on_generators(frame.groups[x], ryx, rxz, p, n), tuple(direct) == n
-            yield iii_m, iii_n, iv
+            yield (x, y, z), iii_m, iii_n, iv
 
 
-def iv_verdicts(frame: Frame) -> Iterator[tuple[bool, bool]]:
+def iv_verdicts(frame: Frame) -> Iterator[Verdict]:
     """The condition (iv) pairs of triple_verdicts, at each ordered triple
     where H_xz lies inside M0."""
-    return (iv for _, _, iv in triple_verdicts(frame) if iv is not None)
+    return (iv for _, _, _, iv in triple_verdicts(frame) if iv is not None)

@@ -11,7 +11,7 @@ from groupra.builders import (
     cyclic_iso_record,
     merge_frames,
 )
-from groupra.errors import FrameBuildError, InvalidFrameError
+from groupra.errors import FrameBuildError, InvalidFrameError, NotASubgroupError
 from groupra.groups import make_cyclic, mask_of, validate_table
 from groupra.relations import cayley_relation
 
@@ -121,6 +121,12 @@ def test_power_frame_refuses_copies_over_the_cap_before_any_coset(monkeypatch):
         build_power_frame(make_cyclic(2), 1, [str(i) for i in range(MAX_POWER_COPIES)])
 
 
+def test_power_frame_refuses_a_negative_glue_at_once():
+    message = "^-1 is not a subgroup of Z4: mask -1 is negative$"
+    with pytest.raises(NotASubgroupError, match=message):
+        build_power_frame(make_cyclic(4, "Z4"), -1, ["0", "1"])
+
+
 def test_cyclic_frame_mapping_and_matrix_agree():
     by_mapping = build_cyclic_frame([6, 9], {(0, 1): 3})
     by_matrix = build_cyclic_frame([6, 9], [[6, 3], [3, 9]])
@@ -180,6 +186,14 @@ def test_cyclic_frame_rejects_asymmetry():
         build_cyclic_frame([6, 9], [[6, 3], [2, 9]])
     with pytest.raises(FrameBuildError, match=message):
         build_cyclic_frame([6, 9], {(0, 1): 3, (1, 0): 2})
+    # a zero marks unrelated groups only when its mirror entry is zero too
+    for kappa, shown in (
+        ([[6, 0], [3, 9]], "0 but kappa[1][0] = 3"),
+        ([[6, 3], [0, 9]], "3 but kappa[1][0] = 0"),
+    ):
+        with pytest.raises(FrameBuildError) as info:
+            build_cyclic_frame([6, 9], kappa)
+        assert str(info.value) == f"condition (iii): kappa[0][1] = {shown}"
 
 
 def test_cyclic_frame_rejects_gcd_disagreement():

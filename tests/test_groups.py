@@ -197,6 +197,24 @@ def test_subgroup_defect():
     )
 
 
+@pytest.mark.parametrize("mask", [-1, -2, -3, -(1 << 70)])
+def test_negative_masks_are_refused_at_once(mask):
+    # a negative mask has infinitely many set bits: no walk over its elements ends
+    z4 = make_cyclic(4, "Z4")
+    refusal = f"^{mask} is not a subgroup of Z4: mask {mask} is negative$"
+    assert subgroup_defect(z4, mask) == f"mask {mask} is negative"
+    for call in (
+        lambda: enumerate_cosets(z4, mask),
+        lambda: is_normal(z4, mask),
+        lambda: quotient_group(z4, mask),
+        lambda: check_quotient_iso(z4, mask, z4, 1, [0, 1, 2, 3]),
+        lambda: check_quotient_iso(z4, 1, z4, mask, [0, 1, 2, 3]),
+    ):
+        with pytest.raises(NotASubgroupError, match=refusal):
+            call()
+    assert mask not in z4._cosets
+
+
 def test_is_normal():
     z6 = make_cyclic(6)
     assert is_normal(z6, mask_of([0, 3]))
