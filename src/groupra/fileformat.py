@@ -27,26 +27,28 @@ the first failing pair of a map it rejects, which is reported at that iso's
 ``map`` line.
 
 A ``group`` line whose order exceeds groups.MAX_GROUP_ORDER is refused at
-that line, before any table row is read or any group is built.  The
-reader keeps each line's text before its comment, equal lines sharing one
-string (``_content_bodies``).  A directive is split where it is read;
-only a table row is split once per distinct text, into its text in single
-spaces and its entries.  A row is converted to integers when it is first
-read, so its tokens live only that long, and none is kept while a table
-is proved or the Frame is built.  The conversion looks each token up in a
-dict of the canonical spellings "0".."n-1" of an order-n table, built once
-per order and parse.  A row with any other token (007, +5, -1, a Unicode
-digit, a token that is no integer, an entry out of range) is converted
-again by int(), token by token, so it is accepted or refused exactly as
-int() decides, and an entry out of range reaches validate_table, which
-names it.  Each distinct group declaration is built once per
-file: ``cyclic n`` once per n, and a table once per distinct text (its
-rows in single spaces), validated once.  Every table id still gets its
-own FiniteGroup, labelled T<id> (FiniteGroup.relabelled): identical
-tables share their rows and also their proofs, the coset systems of the
-subgroups proved normal and the generating set, so a subgroup is proved
-once per distinct table.  A proof that fails is not kept, so each error
-names the id it is about.
+that line, before any table row is read or any group is built.  The reader
+keeps each line's text before its comment, equal lines sharing one string
+(``_content_bodies``), and reads those lines once, in order: an iso block
+is kept as one record of its converted parts.  A directive is split where
+it is read; only a table row is split once per distinct text, into its
+entries.  A row is converted to integers when it is first read, so its
+tokens live only that long, and none is kept while a table is proved or
+the Frame is built.  The conversion looks each token up in a dict of the
+canonical spellings "0".."n-1" of an order-n table, built once per order
+and parse.  A row with any other token (007, +5, -1, a Unicode digit, a
+token that is no integer, an entry out of range) is converted again by
+int(), token by token, so it is accepted or refused exactly as int()
+decides, and an entry out of range reaches validate_table, which names it.
+Each distinct group declaration is built once per file: ``cyclic n`` once
+per n, and a table once per distinct list of entries, validated once, so
+copies that differ only in spacing or in the spelling of an entry (007
+against 7) share one group.  Every table id still gets its own
+FiniteGroup, labelled T<id> (FiniteGroup.relabelled): identical tables
+share their rows and also their proofs, the coset systems of the subgroups
+proved normal and the generating set, so a subgroup is proved once per
+distinct table.  A proof that fails is not kept, so each error names the
+id it is about.
 
 Files are read as UTF-8 (``_read_text``), and a byte that does not decode
 is refused at its line.  Lines end at \\r\\n, \\r or \\n and nowhere else
@@ -61,6 +63,7 @@ single spaces.  Emitting a parsed emission reproduces it byte for byte.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     FrameFormatError,
@@ -87,20 +90,19 @@ from .groups import (
 __all__ = ["parse_frame", "emit_frame"]
 
 
-class _IsoDirective:
-    """One iso directive as read: its line and pair, then the line and
-    values of its H, K and map parts as the reader meets them."""
+class _IsoBlock(NamedTuple):
+    """One iso block as read: its line and pair, then the line and values
+    of its H, K and map parts."""
 
-    def __init__(self, line: int, x: str, y: str) -> None:
-        self.line = line
-        self.x = x
-        self.y = y
-        self.h_line = 0
-        self.h_elems: list[int] = []
-        self.k_line = 0
-        self.k_elems: list[int] = []
-        self.map_line = 0
-        self.entries: list[tuple[int, int]] = []
+    line: int
+    x: str
+    y: str
+    h_line: int
+    h_elems: list[int]
+    k_line: int
+    k_elems: list[int]
+    map_line: int
+    entries: list[tuple[int, int]]
 
 
 def _int(token: str, line: int, what: str) -> int:
@@ -173,37 +175,40 @@ def _content_bodies(text: str) -> list[tuple[int, str]]:
 
 def parse_frame(text: str) -> Frame:
     """Parse a frame file; FrameFormatError carries the offending line."""
-    lines = _content_bodies(text)
-    pos = 0
+    bodies = _content_bodies(text)
+    rest = iter(bodies)
     groups: dict[str, FiniteGroup] = {}
     group_lines: dict[str, int] = {}
     blocks: list[tuple[int, list[str]]] = []
-    directives: list[_IsoDirective] = []
-    # one build per distinct declaration: cyclic groups by order, tables by text
+    iso_blocks: list[_IsoBlock] = []
+    # one build per distinct declaration: cyclic groups by order, tables by entries
     cyclic: dict[int, FiniteGroup] = {}
-    tables: dict[tuple[str, ...], FiniteGroup] = {}
-    # one split per distinct table row: its text in single spaces and its entries
-    table_rows: dict[str, tuple[str, tuple[int, ...]]] = {}
+    tables: dict[tuple[tuple[int, ...], ...], FiniteGroup] = {}
+    # one split per distinct table row text, into its entries
+    table_rows: dict[str, tuple[int, ...]] = {}
     # the canonical spelling of each entry of an order-n table, per order n
     digits_of: dict[int, dict[str, int]] = {}
 
     def take_body() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise FrameFormatError(last, "unexpected end of file")
-        entry = lines[pos]
-        pos += 1
+        entry = next(rest, None)
+        if entry is None:  # a read follows a content line, so there is a last one
+            raise FrameFormatError(bodies[-1][0], "unexpected end of file")
         return entry
 
-    def take() -> tuple[int, list[str]]:
+    def take_part(keyword: str) -> tuple[int, list[str]]:
+        """The next line's number and arguments, which keyword must begin."""
         line, body = take_body()
-        return line, body.split()
+        tokens = body.split()
+        if tokens[0] != keyword:
+            raise FrameFormatError(line, f"expected {keyword!r} here, got {tokens[0]!r}")
+        return line, tokens[1:]
 
     def take_table(n: int, line: int, label: str) -> FiniteGroup:
         """The group of the next n rows, built once per distinct table.
 
-        A table is known by its rows' texts in single spaces.  Each row's
+        A row is split once per distinct text, into its entries, and a
+        table is known by its rows' entries, so copies that differ only in
+        spacing or in the spelling of an entry share one group.  Each row's
         length is checked before its entries, and both before the next row
         is read, so the first fault in reading order is the one reported.
         A row whose tokens all spell 0..n-1 canonically is converted by
@@ -216,33 +221,28 @@ def parse_frame(text: str) -> Frame:
         rows = []
         for _ in range(n):
             row_line, body = take_body()
-            row = table_rows.get(body)
-            if row is None:
-                tokens = body.split()
-                count = len(tokens)
-                if count == n:
-                    try:
-                        entries = tuple(map(digits.__getitem__, tokens))
-                    except KeyError:
-                        entries = tuple(_ints(tokens, row_line, "table entry"))
-                    row = table_rows[body] = (" ".join(tokens), entries)
-            else:
-                count = len(row[1])
-            if count != n:
-                raise FrameFormatError(row_line, f"table row has {count} entries, expected {n}")
-            rows.append(row)
-        table_text = tuple(text for text, _ in rows)
-        shared = tables.get(table_text)
+            entries = table_rows.get(body)
+            items = body.split() if entries is None else entries
+            if len(items) != n:
+                raise FrameFormatError(row_line, f"table row has {len(items)} entries, expected {n}")
+            if entries is None:
+                try:
+                    entries = tuple(map(digits.__getitem__, items))
+                except KeyError:
+                    entries = tuple(_ints(items, row_line, "table entry"))
+                table_rows[body] = entries
+            rows.append(entries)
+        table = tuple(rows)
+        shared = tables.get(table)
         if shared is None:
             try:
-                shared = validate_table([entries for _, entries in rows], label)
+                shared = tables[table] = validate_table(table, label)
             except GroupTableError as exc:
                 raise FrameFormatError(line, f"not a group table: {exc}") from None
-            tables[table_text] = shared
         return shared.relabelled(label)
 
-    while pos < len(lines):
-        line, tokens = take()
+    for line, body in rest:
+        tokens = body.split()
         keyword = tokens[0]
         if keyword == "group":
             if len(tokens) != 4 or tokens[2] not in ("cyclic", "table"):
@@ -272,23 +272,18 @@ def parse_frame(text: str) -> Frame:
         elif keyword == "iso":
             if len(tokens) != 3:
                 raise FrameFormatError(line, "expected 'iso <x> <y>'")
-            d = _IsoDirective(line, tokens[1], tokens[2])
-            for expect in ("H", "K", "map", "end"):
-                part_line, part = take()
-                if part[0] != expect:
-                    raise FrameFormatError(part_line, f"expected {expect!r} here, got {part[0]!r}")
-                if expect == "end" and len(part) > 1:
-                    raise FrameFormatError(part_line, "'end' takes no arguments")
-                if expect == "H":
-                    d.h_line = part_line
-                    d.h_elems = _ints(part[1:], part_line, "H element")
-                elif expect == "K":
-                    d.k_line = part_line
-                    d.k_elems = _ints(part[1:], part_line, "K element")
-                elif expect == "map":
-                    d.map_line = part_line
-                    d.entries = _map_entries(part[1:], part_line)
-            directives.append(d)
+            h_line, h = take_part("H")
+            h_elems = _ints(h, h_line, "H element")
+            k_line, k = take_part("K")
+            k_elems = _ints(k, k_line, "K element")
+            map_line, m = take_part("map")
+            entries = _map_entries(m, map_line)
+            end_line, extra = take_part("end")
+            if extra:
+                raise FrameFormatError(end_line, "'end' takes no arguments")
+            iso_blocks.append(
+                _IsoBlock(line, *tokens[1:], h_line, h_elems, k_line, k_elems, map_line, entries)
+            )
         else:
             raise FrameFormatError(line, f"unknown directive {keyword!r}")
 
@@ -306,7 +301,7 @@ def parse_frame(text: str) -> Frame:
     declared = list(groups)
     position = {gid: i for i, gid in enumerate(declared)}
     isos: dict[tuple[str, str], IsoRecord] = {}
-    for d in directives:
+    for d in iso_blocks:
         for gid in (d.x, d.y):
             if gid not in groups:
                 raise FrameFormatError(d.line, f"unknown id {gid!r}")
@@ -329,7 +324,7 @@ def parse_frame(text: str) -> Frame:
     try:
         return Frame(groups, ordered_blocks, isos)
     except InvalidFrameError as exc:  # every other fault was reported above
-        line = next(d.map_line for d in directives if (d.x, d.y) == exc.pair)
+        line = next(d.map_line for d in iso_blocks if (d.x, d.y) == exc.pair)
         raise FrameFormatError(line, f"map is not a quotient isomorphism: {exc.witness}") from None
 
 
@@ -342,7 +337,7 @@ def _cosets(g: FiniteGroup, sub: Mask, line: int, what: str, gid: str) -> CosetS
         raise FrameFormatError(line, f"{what} is not normal in group {gid!r}") from None
 
 
-def _build_record(groups: dict[str, FiniteGroup], d: _IsoDirective) -> IsoRecord:
+def _build_record(groups: dict[str, FiniteGroup], d: _IsoBlock) -> IsoRecord:
     gx, gy = groups[d.x], groups[d.y]
     for e in d.h_elems:
         if not 0 <= e < gx.order:

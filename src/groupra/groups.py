@@ -108,7 +108,8 @@ class FiniteGroup:
     another label with those proofs shared, not redone.
 
     Groups are read-only and compare and hash by ``order``, ``op`` and
-    ``inverse``; the label and the kept proofs play no part.
+    ``inverse``; the label and the kept proofs play no part.  The table and
+    the inverses are stored as tuples, whatever sequences they are given as.
     """
 
     order: int
@@ -120,10 +121,13 @@ class FiniteGroup:
     def __init__(
         self,
         order: int,
-        op: tuple[tuple[int, ...], ...],
-        inverse: tuple[int, ...],
+        op: Sequence[Sequence[int]],
+        inverse: Sequence[int],
         label: str = "G",
     ) -> None:
+        # tuple() returns a tuple argument itself, so tuple rows are kept, not copied
+        op = tuple(map(tuple, op))
+        inverse = tuple(inverse)
         n = order
         check_group_order(n)
         if len(op) != n or any(len(row) != n for row in op):
@@ -405,13 +409,15 @@ class CosetSystem:
     permutation instead of building them again from the masks.
 
     Systems are read-only and compare and hash by ``subgroup`` and
-    ``cosets``; ``reps`` and ``_where``, built or not, play no part.
+    ``cosets``; ``reps`` and ``_where``, built or not, play no part.  The
+    cosets are stored as a tuple, whatever sequence they are given as.
     """
 
     subgroup: Mask
     cosets: tuple[Mask, ...]
 
-    def __init__(self, subgroup: Mask, cosets: tuple[Mask, ...]) -> None:
+    def __init__(self, subgroup: Mask, cosets: Sequence[Mask]) -> None:
+        cosets = tuple(cosets)
         # the construction check, which permuted skips: coset 0 is the
         # subgroup, which holds the identity, and the cosets are pairwise
         # disjoint and of its size

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .groups import FiniteGroup, _refuse_write, _store, iter_bits
 
@@ -28,13 +28,15 @@ class ConcreteRelation:
 
     The constructor refuses a row count other than ``size`` first, then any
     row that is negative or has a bit at ``size`` or above.  It reads the
-    second fault off the OR of all rows, one C-level pass.
+    second fault off the OR of all rows, one C-level pass.  The rows are
+    stored as a tuple, whatever sequence they are given as.
     """
 
     size: int
     rows: tuple[int, ...]
 
-    def __init__(self, size: int, rows: tuple[int, ...]) -> None:
+    def __init__(self, size: int, rows: Sequence[int]) -> None:
+        rows = tuple(rows)
         if len(rows) != size:
             raise ValueError(f"expected {size} rows, got {len(rows)}")
         if rows and reduce(or_, rows) >> size:

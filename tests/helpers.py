@@ -1,9 +1,10 @@
-"""Shared fixtures: deterministic random frame corpora, corrupted frames and
-the census of small frames."""
+"""Shared fixtures: deterministic random frame corpora, corrupted frames,
+mutated frame texts and the census of small frames."""
 
 import random
 from itertools import permutations, product
 from math import gcd
+from pathlib import Path
 from typing import Iterator, Optional
 
 from groupra.builders import build_cyclic_frame, cyclic_iso_record
@@ -144,6 +145,38 @@ def verdict_corpus() -> tuple[list[Frame], list[Frame]]:
     for _ in range(10):
         corrupted.append(corrupt_kappa(rng))
     return sound, corrupted
+
+
+SHIPPED_FRAMES = sorted((Path(__file__).resolve().parent.parent / "frames").glob("*.frame"))
+MUTATION_SEED = 2018
+MUTATION_COUNT = 1500
+# overwrites draw from the text's own tokens half the time, else from these
+MUTATION_VOCABULARY = "\n # x -1 07 0: :1 group table cyclic H K map end".split(" ")
+
+
+def mutated_frame_texts(
+    seed: int = MUTATION_SEED, count: int = MUTATION_COUNT
+) -> Iterator[str]:
+    """count texts, each a shipped frame with one to three of its tokens
+    dropped, duplicated, truncated or overwritten; newlines count as tokens."""
+    rng = random.Random(seed)
+    texts = [path.read_text() for path in SHIPPED_FRAMES]
+    for _ in range(count):
+        tokens = [t for t in rng.choice(texts).replace("\n", " \n ").split(" ") if t]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens))
+            kind = rng.choice(["drop", "duplicate", "truncate", "overwrite"])
+            if kind == "drop":
+                del tokens[i]
+            elif kind == "duplicate":
+                tokens.insert(i, tokens[i])
+            elif kind == "truncate":
+                tokens[i] = tokens[i][: rng.randrange(len(tokens[i]) or 1)]
+            elif rng.random() < 0.5:
+                tokens[i] = rng.choice(tokens)
+            else:
+                tokens[i] = rng.choice(MUTATION_VOCABULARY)
+        yield " ".join(tokens)
 
 
 def frame_from_atom_table(alg: GroupRelationAlgebra) -> Frame:

@@ -876,6 +876,47 @@ def test_table_entries_spelled_otherwise_give_the_same_group():
     assert group.op == tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8))
 
 
+def test_tables_spelled_otherwise_share_one_proof(monkeypatch):
+    rows = z_table_rows(8)
+    respelled = [row[:] for row in rows]
+    respelled[0][7], respelled[3][1] = "007", "+4"
+    text = lines(
+        "group 0 table 8",
+        *(" ".join(row) for row in rows),
+        "group 1 table 8",
+        *(" ".join(row) for row in respelled),
+        "block 0",
+        "block 1",
+    )
+    calls = count_validate_table(monkeypatch)
+    frame = parse_frame(text)
+    assert calls == ["T0"]
+    assert frame.groups["1"] == frame.groups["0"]
+    assert frame.groups["1"]._cosets is frame.groups["0"]._cosets
+    assert frame.groups["1"].label == "T1"
+
+
+@pytest.mark.parametrize(
+    "first, second, reason",
+    [
+        (["0 1", "1 0"], ["0 1", "1 2 0", "2 0 1"], "table row has 2 entries, expected 3"),
+        (["0 1 2", "1 2 0", "2 0 1"], ["0 1 2", "1 0"], "table row has 3 entries, expected 2"),
+    ],
+)
+def test_row_read_in_a_table_of_another_order_is_refused_at_its_line(first, second, reason):
+    text = lines(
+        f"group 0 table {len(first)}",
+        *first,
+        f"group 1 table {len(second)}",
+        *second,
+        "block 0",
+        "block 1",
+    )
+    with pytest.raises(FrameFormatError) as info:
+        parse_frame(text)
+    assert (info.value.line, info.value.reason) == (len(first) + 3, reason)
+
+
 def test_table_entry_that_is_no_integer_is_named_at_its_row():
     rows = z_table_rows(6)
     rows[2][4] = "z"

@@ -110,6 +110,29 @@ def test_records_compare_and_hash_by_their_fields():
     assert report == MeasureReport(entries=(entry,), pair_dense=True, singleton_dense=False)
 
 
+@pytest.mark.parametrize(
+    "from_lists, twin, fields",
+    [
+        (
+            lambda: FiniteGroup(6, [list(row) for row in z6().op], list(z6().inverse)),
+            z6,
+            ("op", "inverse"),
+        ),
+        (lambda: CosetSystem(9, [9, 18, 36]), z6_thirds, ("cosets",)),
+        (lambda: ConcreteRelation(2, [1, 2]), lambda: ConcreteRelation(2, (1, 2)), ("rows",)),
+    ],
+    ids=["FiniteGroup", "CosetSystem", "ConcreteRelation"],
+)
+def test_values_built_from_lists_hold_tuples(from_lists, twin, fields):
+    value, expected = from_lists(), twin()
+    assert value == expected and hash(value) == hash(expected)
+    for field in fields:
+        held = getattr(value, field)
+        assert type(held) is tuple and held == getattr(expected, field)
+    if isinstance(value, FiniteGroup):
+        assert all(type(row) is tuple for row in value.op)
+
+
 def test_reprs_and_texts():
     assert repr(violation()) == (
         "Violation(condition='iv', where=('0', '1', '2'), detail='phi maps {1,4} off {2}')"
