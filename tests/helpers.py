@@ -179,6 +179,54 @@ def mutated_frame_texts(
         yield " ".join(tokens)
 
 
+KAPPA_MUTATION_COUNT = 600
+# values a mutated kappa entry takes: non-positive, divisors, non-divisors, orders
+KAPPA_VOCABULARY = (-1, 0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 24)
+
+
+def mutated_kappa_specs(
+    seed: int = MUTATION_SEED, count: int = KAPPA_MUTATION_COUNT
+) -> Iterator[tuple[list[int], object]]:
+    """count (orders, kappa) pairs for build_cyclic_frame, alternately in
+    mapping and in matrix form, each a random_cyclic_spec with one or two
+    entries rewritten, added or dropped.
+
+    A mapping gains keys out of range, on the diagonal or reversed; a
+    matrix gains asymmetric pairs, wrong diagonals and short or missing
+    rows.  Some mutations leave the spec valid.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        orders, kappa = random_cyclic_spec(rng, small=(i % 4 == 0), multi_block=(i % 3 == 0))
+        m = len(orders)
+        if i % 2 == 0:
+            spec = dict(kappa)
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(["rewrite", "add", "drop"])
+                if kind == "rewrite" and spec:
+                    spec[rng.choice(list(spec))] = rng.choice(KAPPA_VOCABULARY)
+                elif kind == "drop" and spec:
+                    del spec[rng.choice(list(spec))]
+                else:
+                    top = m if rng.random() < 0.2 else m - 1
+                    key = (rng.randint(-(top == m), top), rng.randint(0, top))
+                    spec[key] = rng.choice(KAPPA_VOCABULARY)
+        else:
+            spec = [[orders[r] if r == c else 0 for c in range(m)] for r in range(m)]
+            for (r, c), value in kappa.items():
+                spec[r][c] = spec[c][r] = value
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(["rewrite"] * 4 + ["shorten", "drop row"])
+                row = rng.choice(spec)
+                if kind == "rewrite" and row:
+                    row[rng.randrange(len(row))] = rng.choice(KAPPA_VOCABULARY)
+                elif kind == "shorten" and row:
+                    del row[-1]
+                elif kind == "drop row" and len(spec) > 1:
+                    spec.remove(row)
+        yield orders, spec
+
+
 def frame_from_atom_table(alg: GroupRelationAlgebra) -> Frame:
     """The frame an algebra's atom table determines, asking only
     compose_atoms and converse_atom.
