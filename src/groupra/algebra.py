@@ -191,6 +191,9 @@ class GroupRelationAlgebra:
         atoms = [AtomIndex(x, y, a) for (x, y), r in frame.records.items() for a in range(r.kappa)]
         self._atoms = tuple(atoms)
         self.all_atoms = frozenset(atoms)
+        # the algebra's one object of each atom, which every method hands out;
+        # a plain (x, y, alpha) key finds it, so none is built after this
+        self._own = {a: a for a in atoms}
         self._rules: dict[tuple[str, str, str], _Rule] = {}
         self._relation_cache: dict[AtomIndex, ConcreteRelation] = {}
 
@@ -206,13 +209,22 @@ class GroupRelationAlgebra:
         """The one atom gate: a must be an AtomIndex of this frame.
 
         Every method that takes atoms calls it, and nothing past it checks an
-        atom again.  The type test comes first because a plain tuple equals
-        its AtomIndex: the membership test alone would let ("0","1",0) in,
-        to fail later on a missing field, or to hit atom_relation's cache.
+        atom again.  One of the algebra's own atom objects, which is what
+        its methods hand out, passes by identity.  Any other value gets the
+        type tests first, because a plain tuple equals its AtomIndex, and so
+        do AtomIndex("0","1",True) and AtomIndex("0","1",1.0): the
+        membership test alone would let them in, to fail later on a missing
+        field or a float index, to print as ((0,1),True), or to hit
+        atom_relation's cache.
         """
+        try:
+            if self._own.get(a) is a:
+                return
+        except TypeError:  # unhashable, so no atom: the type tests name it
+            pass
         if type(a) is not AtomIndex:
             raise ValueError(f"{a!r} is not an AtomIndex")
-        if a not in self.all_atoms:
+        if type(a.alpha) is not int or a not in self.all_atoms:
             raise ValueError(f"{a!r} is not an atom of this frame")
 
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
@@ -239,7 +251,7 @@ class GroupRelationAlgebra:
         return FrameElement(self, self.all_atoms)
 
     def identity_element(self) -> FrameElement:
-        return FrameElement(self, frozenset(AtomIndex(x, x, 0) for x in self.frame.order))
+        return FrameElement(self, frozenset(self._own[(x, x, 0)] for x in self.frame.order))
 
     # -- the operations --------------------------------------------------
 
@@ -247,7 +259,7 @@ class GroupRelationAlgebra:
         self._require_atom(a)
         h = self.frame.records[(a.x, a.y)].h
         # H is normal, so the inverse of the coset rH is the coset of r^-1
-        return AtomIndex(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))
+        return self._own[(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))]
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
         """a;b, read off the rule of the triple (x,y,z) when a.y == b.x.
@@ -277,17 +289,18 @@ class GroupRelationAlgebra:
         and h.  The composite holds the (x,z) atoms whose H_xz-cosets lie in
         the M0-coset that the induced isomorphism pairs with that P0-coset
         (frames._slots).  So the rule is three tables: atoms_at, the
-        composite for each element of G_y (one frozenset shared by a whole
-        P0-coset); k_rows, the row of G_y's table for each k; and h_reps,
-        each h.  The answer for (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
+        composite for each element of G_y (one frozenset of the algebra's
+        own atom objects, shared by a whole P0-coset); k_rows, the row of
+        G_y's table for each k; and h_reps, each h.  The answer for
+        (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
         P0 is the system frames._p0 gives, the one the frame check read; M0
         and N0 get no system of their own.
         """
-        frame, records = self.frame, self.frame.records
+        frame, records, own = self.frame, self.frame.records, self._own
         p = _p0(frame, x, y, z)
         inside: list[list[AtomIndex]] = [[] for _ in range(p.count)]
         for g, j in enumerate(_slots(records[(y, x)], records[(x, z)], p)):
-            inside[j].append(AtomIndex(x, z, g))
+            inside[j].append(own[(x, z, g)])
         sets = [frozenset(atoms) for atoms in inside]
         atoms_at = [sets[j] for j in p._where]
         k_rows = [frame.groups[y].op[r] for r in records[(x, y)].k.reps]
@@ -312,17 +325,18 @@ class GroupRelationAlgebra:
             # alpha*H_beta
             h = frame.records[(b.x, b.y)].h
             gamma = h.coset_of(frame.groups[a.x].op[a.alpha][h.reps[b.alpha]])
-            return FrameElement(self, frozenset([AtomIndex(b.x, b.y, gamma)]))
+            return FrameElement(self, frozenset([self._own[(b.x, b.y, gamma)]]))
         if b.x == b.y:
             # K_alpha*beta
             k = frame.records[(a.x, a.y)].k
             gamma = k.coset_of(frame.groups[b.x].op[k.reps[a.alpha]][b.alpha])
-            return FrameElement(self, frozenset([AtomIndex(a.x, a.y, gamma)]))
+            return FrameElement(self, frozenset([self._own[(a.x, a.y, gamma)]]))
         if b.y == a.x:
             # H_alpha*H_beta, whose elements name the square atoms
             h = frame.records[(a.x, a.y)].h
             prod = h.cosets[h.coset_of(frame.groups[a.x].op[h.reps[a.alpha]][h.reps[b.alpha]])]
-            return FrameElement(self, frozenset(AtomIndex(a.x, a.x, f) for f in iter_bits(prod)))
+            own = self._own
+            return FrameElement(self, frozenset(own[(a.x, a.x, f)] for f in iter_bits(prod)))
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:
@@ -408,13 +422,14 @@ class GroupRelationAlgebra:
         unit = self.unit()
         entries = []
         for x in self.frame.order:
-            one = self.element([AtomIndex(x, x, 0)])
+            one_x = self._own[(x, x, 0)]
+            one = self.element([one_x])
             square = self.compose(self.compose(one, unit), one)
             for a in square.sorted_atoms():
                 inverse = self.converse_atom(a)
                 if not self.compose_atoms(inverse, a) == self.compose_atoms(a, inverse) == one:
                     raise RuntimeError(f"square atom {a.label()} is not functional")
-            entries.append(MeasureEntry(x, AtomIndex(x, x, 0), len(square)))
+            entries.append(MeasureEntry(x, one_x, len(square)))
         return MeasureReport(
             tuple(entries),
             pair_dense=all(e.measure <= 2 for e in entries),

@@ -181,11 +181,14 @@ def parse_frame(text: str) -> Frame:
     group_lines: dict[str, int] = {}
     blocks: list[tuple[int, list[str]]] = []
     iso_blocks: list[_IsoBlock] = []
-    # one build per distinct declaration: cyclic groups by order, tables by entries
+    # one build per distinct declaration: cyclic groups by order, tables by
+    # entries, keyed by the identities of their interned rows
     cyclic: dict[int, FiniteGroup] = {}
-    tables: dict[tuple[tuple[int, ...], ...], FiniteGroup] = {}
-    # one split per distinct table row text, into its entries
+    tables: dict[tuple[int, ...], FiniteGroup] = {}
+    # one split per distinct table row text, into its entries, and one tuple
+    # per distinct row of entries, shared by every text that spells it
     table_rows: dict[str, tuple[int, ...]] = {}
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     # the canonical spelling of each entry of an order-n table, per order n
     digits_of: dict[int, dict[str, int]] = {}
 
@@ -206,9 +209,11 @@ def parse_frame(text: str) -> Frame:
     def take_table(n: int, line: int, label: str) -> FiniteGroup:
         """The group of the next n rows, built once per distinct table.
 
-        A row is split once per distinct text, into its entries, and a
-        table is known by its rows' entries, so copies that differ only in
-        spacing or in the spelling of an entry share one group.  Each row's
+        A row is split once per distinct text, into its entries, and equal
+        rows of entries share one interned tuple.  A table is known by its
+        rows' identities, so copies that differ only in spacing or in the
+        spelling of an entry share one group, and a repeated table costs
+        O(n) to look up, not a hash of its n*n entries.  Each row's
         length is checked before its entries, and both before the next row
         is read, so the first fault in reading order is the one reported.
         A row whose tokens all spell 0..n-1 canonically is converted by
@@ -230,13 +235,13 @@ def parse_frame(text: str) -> Frame:
                     entries = tuple(map(digits.__getitem__, items))
                 except KeyError:
                     entries = tuple(_ints(items, row_line, "table entry"))
-                table_rows[body] = entries
+                table_rows[body] = entries = interned.setdefault(entries, entries)
             rows.append(entries)
-        table = tuple(rows)
-        shared = tables.get(table)
+        key = tuple(map(id, rows))
+        shared = tables.get(key)
         if shared is None:
             try:
-                shared = tables[table] = validate_table(table, label)
+                shared = tables[key] = validate_table(rows, label)
             except GroupTableError as exc:
                 raise FrameFormatError(line, f"not a group table: {exc}") from None
         return shared.relabelled(label)

@@ -8,7 +8,7 @@ bitmasks: bit e is set iff element e belongs to the subset.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import (
@@ -83,18 +83,35 @@ def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 
 
-def _refuse_write(self, name: str, *value: object) -> NoReturn:
-    """__setattr__ and __delattr__ of a read-only class: refuse every write."""
-    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+class _Value:
+    """A read-only value: equal to a value of its own class only, and hashed,
+    by the fields that the subclass's ``_compared`` getter reads.  Every
+    write to a field is refused."""
+
+    _compared: attrgetter
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-# A read-only class's __init__ stores its fields with this, past _refuse_write.
-# Unlike a write to the instance's __dict__, it leaves the values inline in
-# the object, where attribute reads are fastest.
+# A read-only class's __init__ stores its fields with this, past _Value's
+# __setattr__.  Unlike a write to the instance's __dict__, it leaves the
+# values inline in the object, where attribute reads are fastest.
 _store = object.__setattr__
 
 
-class FiniteGroup:
+class FiniteGroup(_Value):
     """A finite group given by its full operation table.
 
     Invariants (checked on construction): the table is square over
@@ -117,6 +134,7 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     label: str
     _cosets: dict[Mask, CosetSystem]
+    _compared = attrgetter("order", "op", "inverse")
 
     def __init__(
         self,
@@ -145,17 +163,6 @@ class FiniteGroup:
         _store(self, "inverse", inverse)
         _store(self, "label", label)
         _store(self, "_cosets", {})
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.op, self.inverse) == (other.order, other.op, other.inverse)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.op, self.inverse))
-
-    __setattr__ = _refuse_write
-    __delattr__ = _refuse_write
 
     def mul(self, a: int, b: int) -> int:
         return self.op[a][b]
@@ -389,7 +396,7 @@ def is_normal(g: FiniteGroup, h: Mask) -> bool:
     return True
 
 
-class CosetSystem:
+class CosetSystem(_Value):
     """An enumeration of the cosets of a normal subgroup.
 
     cosets[0] is always the subgroup itself; the remaining cosets may be in
@@ -415,6 +422,7 @@ class CosetSystem:
 
     subgroup: Mask
     cosets: tuple[Mask, ...]
+    _compared = attrgetter("subgroup", "cosets")
 
     def __init__(self, subgroup: Mask, cosets: Sequence[Mask]) -> None:
         cosets = tuple(cosets)
@@ -436,19 +444,8 @@ class CosetSystem:
         _store(self, "subgroup", subgroup)
         _store(self, "cosets", cosets)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.subgroup, self.cosets) == (other.subgroup, other.cosets)
-
-    def __hash__(self) -> int:
-        return hash((self.subgroup, self.cosets))
-
     def __repr__(self) -> str:
         return f"CosetSystem(subgroup={self.subgroup!r}, cosets={self.cosets!r})"
-
-    __setattr__ = _refuse_write
-    __delattr__ = _refuse_write
 
     @property
     def count(self) -> int:

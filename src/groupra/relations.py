@@ -8,10 +8,10 @@ each other.  Row a of a relation is the bitmask of all b with (a,b) in R.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import Iterable, Sequence
 
-from .groups import FiniteGroup, _refuse_write, _store, iter_bits
+from .groups import FiniteGroup, _store, _Value, iter_bits
 
 __all__ = [
     "ConcreteRelation",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class ConcreteRelation:
+class ConcreteRelation(_Value):
     """A read-only relation on 0..size-1, compared and hashed by its rows.
 
     The constructor refuses a row count other than ``size`` first, then any
@@ -34,6 +34,7 @@ class ConcreteRelation:
 
     size: int
     rows: tuple[int, ...]
+    _compared = attrgetter("size", "rows")
 
     def __init__(self, size: int, rows: Sequence[int]) -> None:
         rows = tuple(rows)
@@ -43,17 +44,6 @@ class ConcreteRelation:
             raise ValueError("row mask reaches outside the base set")
         _store(self, "size", size)
         _store(self, "rows", rows)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.rows) == (other.size, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.rows))
-
-    __setattr__ = _refuse_write
-    __delattr__ = _refuse_write
 
     @classmethod
     def empty(cls, size: int) -> "ConcreteRelation":

@@ -135,26 +135,53 @@ def test_element_rejects_a_plain_tuple():
 
 
 def test_every_atom_method_rejects_a_plain_tuple():
-    alg = fresh_running_algebra()
-    atom, back, square = AtomIndex("0", "1", 1), AtomIndex("1", "0", 2), AtomIndex("0", "0", 3)
-    not_atom = r"\('0', '1', 1\) is not an AtomIndex"
-    calls = [
-        lambda t: alg.compose_atoms(t, back),
-        lambda t: alg.compose_atoms(square, t),
-        lambda t: alg.converse_atom(t),
-        lambda t: alg.fast_compose_subidentity(t, back),
-        lambda t: alg.fast_compose_subidentity(square, t),
-        lambda t: alg.atom_relation(t),
-    ]
-    for call in calls:
+    # each value equals and hashes like AtomIndex("0","1",1), an atom of the frame
+    for value, not_atom in [
+        (("0", "1", 1), r"\('0', '1', 1\) is not an AtomIndex"),
+        (AtomIndex("0", "1", True), r"AtomIndex\(x='0', y='1', alpha=True\) is not an atom"),
+        (AtomIndex("0", "1", 1.0), r"AtomIndex\(x='0', y='1', alpha=1\.0\) is not an atom"),
+    ]:
+        alg = fresh_running_algebra()
+        atom, back, square = AtomIndex("0", "1", 1), AtomIndex("1", "0", 2), AtomIndex("0", "0", 3)
+        calls = [
+            lambda t: alg.compose_atoms(t, back),
+            lambda t: alg.compose_atoms(square, t),
+            lambda t: alg.converse_atom(t),
+            lambda t: alg.fast_compose_subidentity(t, back),
+            lambda t: alg.fast_compose_subidentity(square, t),
+            lambda t: alg.atom_relation(t),
+            lambda t: alg.element([t]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=not_atom):
+                call(value)
+        # the equal AtomIndex's relation, once cached, must not answer for the value
+        assert alg.atom_relation(atom).count() > 0
         with pytest.raises(ValueError, match=not_atom):
-            call(("0", "1", 1))
-    # the equal AtomIndex's relation, once cached, must not answer for the tuple
-    assert alg.atom_relation(atom).count() > 0
-    with pytest.raises(ValueError, match=not_atom):
-        alg.atom_relation(("0", "1", 1))
-    with pytest.raises(ValueError, match=r"AtomIndex\(x='0', y='1', alpha=3\) is not an atom"):
-        alg.atom_relation(AtomIndex("0", "1", 3))
+            alg.atom_relation(value)
+        with pytest.raises(ValueError, match=r"AtomIndex\(x='0', y='1', alpha=3\) is not an atom"):
+            alg.atom_relation(AtomIndex("0", "1", 3))
+
+
+@pytest.mark.parametrize("name", ["z6z9.frame", "d4q8d4.frame"])
+def test_atoms_handed_out_are_the_algebras_own_objects(name):
+    frame = parse_frame((Path(__file__).resolve().parent.parent / "frames" / name).read_text())
+    check_frame_reduced(frame)
+    alg = GroupRelationAlgebra(frame)
+    # the atoms() objects themselves, not equal copies
+    own = {id(a) for a in alg.atoms()}
+
+    def all_own(atoms) -> bool:
+        return all(id(a) in own for a in atoms)
+
+    for a in alg.atoms():
+        assert id(alg.converse_atom(a)) in own
+        for b in alg.atoms():
+            assert all_own(alg.compose_atoms(a, b).atoms)
+            assert all_own(alg.fast_compose_subidentity(a, b).atoms)
+    assert all_own(alg.compose(alg.unit(), alg.unit()).atoms)
+    assert all_own(alg.identity_element().atoms)
+    assert all_own(entry.atom for entry in alg.measure_report().entries)
 
 
 def test_zero_unit_identity():

@@ -97,6 +97,12 @@ def test_records_compare_and_hash_by_their_fields():
     assert ConcreteRelation(2, (1, 2)) == ConcreteRelation(size=2, rows=(1, 2))
     assert hash(ConcreteRelation(2, (1, 2))) == hash(ConcreteRelation(2, (1, 2)))
     assert ConcreteRelation(2, (1, 2)) != ConcreteRelation(2, (2, 1))
+    # a value never equals one of another class, even one holding its fields
+    relation = ConcreteRelation(2, (1, 2))
+    assert thirds != (thirds.subgroup, thirds.cosets) and (thirds.subgroup, thirds.cosets) != thirds
+    assert relation != (relation.size, relation.rows) and (relation.size, relation.rows) != relation
+    assert thirds != relation and relation != thirds and z6() != thirds and thirds != z6()
+    assert thirds.__eq__(relation) is NotImplemented and relation.__eq__(thirds) is NotImplemented
     assert violation() == violation() and hash(violation()) == hash(violation())
     report = FrameCheckReport("full", (violation(),))
     assert report == FrameCheckReport(mode="full", violations=(violation(),))
