@@ -188,12 +188,14 @@ class GroupRelationAlgebra:
             raise InvalidFrameError("frame failed its check; no algebra exists for it")
         self.frame = frame
         self.base = BaseSpace(frame)
-        atoms = [AtomIndex(x, y, a) for (x, y), r in frame.records.items() for a in range(r.kappa)]
+        new = tuple.__new__  # builds each atom in C, past AtomIndex's Python __new__
+        records = frame.records.items()
+        atoms = [new(AtomIndex, (x, y, a)) for (x, y), r in records for a in range(r.kappa)]
         self._atoms = tuple(atoms)
-        self.all_atoms = frozenset(atoms)
         # the algebra's one object of each atom, which every method hands out;
         # a plain (x, y, alpha) key finds it, so none is built after this
         self._own = {a: a for a in atoms}
+        self.all_atoms = frozenset(self._own)  # reuses the dict's hashes
         self._rules: dict[tuple[str, str, str], _Rule] = {}
         self._relation_cache: dict[AtomIndex, ConcreteRelation] = {}
 
@@ -228,11 +230,12 @@ class GroupRelationAlgebra:
             raise ValueError(f"{a!r} is not an atom of this frame")
 
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
-        """The union of the given atoms, each passed through _require_atom."""
-        out = frozenset(atoms)
-        for a in out:
+        """The union of the given atoms, each passed through _require_atom
+        before any is hashed."""
+        atoms = list(atoms)
+        for a in atoms:
             self._require_atom(a)
-        return FrameElement(self, out)
+        return FrameElement(self, frozenset(atoms))
 
     def zero(self) -> FrameElement:
         """The empty element, one object per algebra, built on first use.

@@ -163,6 +163,17 @@ def test_every_atom_method_rejects_a_plain_tuple():
             alg.atom_relation(AtomIndex("0", "1", 3))
 
 
+def test_the_gate_refuses_unhashable_values():
+    alg = fresh_running_algebra()
+    atom = AtomIndex("0", "1", 1)
+    with pytest.raises(ValueError, match=r"\['0', '1', 1\] is not an AtomIndex"):
+        alg.compose_atoms(["0", "1", 1], atom)
+    with pytest.raises(ValueError, match=r"\['0', '1', 1\] is not an AtomIndex"):
+        alg.element([atom, ["0", "1", 1]])
+    with pytest.raises(ValueError, match=r"AtomIndex\(x='0', y='1', alpha=\[1\]\) is not an atom"):
+        alg.converse_atom(AtomIndex("0", "1", [1]))
+
+
 @pytest.mark.parametrize("name", ["z6z9.frame", "d4q8d4.frame"])
 def test_atoms_handed_out_are_the_algebras_own_objects(name):
     frame = parse_frame((Path(__file__).resolve().parent.parent / "frames" / name).read_text())

@@ -112,7 +112,7 @@ def _parse_outcome(text: str) -> str:
 def _build_outcome(orders: list[int], kappa: object) -> str:
     try:
         return emit_frame(build_cyclic_frame(orders, kappa))
-    except Exception as exc:  # the class is pinned too, so a raw error shows
+    except ValueError as exc:  # FrameBuildError and any other ValueError, by class
         return f"error {type(exc).__name__} {exc}\n"
 
 

@@ -50,6 +50,19 @@ def test_fields_refuse_assignment(name):
     with pytest.raises(AttributeError):
         setattr(value, field, before)
     assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", ["FiniteGroup", "CosetSystem", "ConcreteRelation"])
+def test_writes_are_refused_with_the_field_name(name):
+    value, field = values()[name]
+    for target in (field, "new_field"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{target}'$"):
+            setattr(value, target, 0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{target}'$"):
+            delattr(value, target)
 
 
 def test_group_equality_and_hash_ignore_label_and_kept_systems():
