@@ -211,13 +211,10 @@ class GroupRelationAlgebra:
         """The one atom gate: a must be an AtomIndex of this frame.
 
         Every method that takes atoms calls it, and nothing past it checks an
-        atom again.  One of the algebra's own atom objects, which is what
-        its methods hand out, passes by identity.  Any other value gets the
-        type tests first, because a plain tuple equals its AtomIndex, and so
-        do AtomIndex("0","1",True) and AtomIndex("0","1",1.0): the
-        membership test alone would let them in, to fail later on a missing
-        field or a float index, to print as ((0,1),True), or to hit
-        atom_relation's cache.
+        atom again.  The algebra's own atom objects, which its methods hand
+        out, pass by identity.  Any other value is type-tested first: a plain
+        tuple, AtomIndex("0","1",True) and AtomIndex("0","1",1.0) all equal
+        an atom, and membership alone would let them in.
         """
         try:
             if self._own.get(a) is a:
