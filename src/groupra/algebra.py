@@ -24,14 +24,13 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
-from .frames import Frame, IsoRecord, _p0, _slots, check_frame_reduced
+from .frames import Frame, _p0, _slots, check_frame_reduced
 from .groups import iter_bits
 from .relations import ConcreteRelation, identity_on
 
 __all__ = [
     "AtomIndex",
     "BaseSpace",
-    "atom_relation_of",
     "FrameElement",
     "MeasureEntry",
     "MeasureReport",
@@ -68,28 +67,6 @@ class BaseSpace:
     def span(self, x: str, order: int) -> int:
         """Bitmask of the ids belonging to group x."""
         return ((1 << order) - 1) << self.offsets[x]
-
-
-def atom_relation_of(
-    frame: Frame, record: IsoRecord, alpha: int, base: BaseSpace
-) -> ConcreteRelation:
-    """The pairs of the atom ((x,y),alpha) of record, on base's global ids.
-
-    The atom is the union over i of H_i x (K_i * K_alpha).  K is normal, so
-    K_i * K_alpha is the one K-coset holding k_i*k_alpha, read off the coset
-    lookup; each row of H_i gets that coset as its column mask, shifted to
-    G_y's ids.  Nothing is kept: callers that ask again cache the result.
-    """
-    k = record.k
-    op = frame.groups[record.y].op
-    offx, offy = base.offsets[record.x], base.offsets[record.y]
-    shift = k.reps[alpha]
-    rows = [0] * base.size
-    for hc, rep in zip(record.h.cosets, k.reps):
-        cols = k.cosets[k.coset_of(op[rep][shift])] << offy
-        for p in iter_bits(hc):
-            rows[offx + p] = cols
-    return ConcreteRelation(base.size, tuple(rows))
 
 
 class FrameElement:
@@ -197,7 +174,6 @@ class GroupRelationAlgebra:
         self._own = {a: a for a in atoms}
         self.all_atoms = frozenset(self._own)  # reuses the dict's hashes
         self._rules: dict[tuple[str, str, str], _Rule] = {}
-        self._relation_cache: dict[AtomIndex, ConcreteRelation] = {}
 
     # -- atom bookkeeping ------------------------------------------------
 
@@ -379,20 +355,30 @@ class GroupRelationAlgebra:
     # -- materialization -------------------------------------------------
 
     def atom_relation(self, a: AtomIndex) -> ConcreteRelation:
-        """The pairs of atom a on global ids (see atom_relation_of), cached per atom."""
-        self._require_atom(a)
-        hit = self._relation_cache.get(a)
-        if hit is None:
-            record = self.frame.records[(a.x, a.y)]
-            hit = self._relation_cache[a] = atom_relation_of(self.frame, record, a.alpha, self.base)
-        return hit
+        """The pairs of atom a (see materialize), built afresh on each call."""
+        return self.materialize(self.element([a]))
 
     def materialize(self, e: FrameElement) -> ConcreteRelation:
-        rows = [0] * self.base.size
+        """The pairs of e's atoms on global ids; the algebra keeps none.
+
+        Each atom passes _require_atom.  The atom ((x,y),alpha) is the union
+        over i of H_i x (K_i * K_alpha).  K is normal, so K_i * K_alpha is
+        the one K-coset holding k_i*k_alpha, read off the coset lookup; each
+        row of H_i ORs in that coset as its column mask, shifted to G_y's ids.
+        """
+        frame, base = self.frame, self.base
+        rows = [0] * base.size
         for a in e._atoms:
-            for i, row in enumerate(self.atom_relation(a).rows):
-                rows[i] |= row
-        return ConcreteRelation(self.base.size, tuple(rows))
+            self._require_atom(a)
+            record = frame.records[(a.x, a.y)]
+            k, op = record.k, frame.groups[a.y].op
+            offx, offy = base.offsets[a.x], base.offsets[a.y]
+            shift = k.reps[a.alpha]
+            for hc, rep in zip(record.h.cosets, k.reps):
+                cols = k.cosets[k.coset_of(op[rep][shift])] << offy
+                for p in iter_bits(hc):
+                    rows[offx + p] |= cols
+        return ConcreteRelation(base.size, tuple(rows))
 
     def unit_relation(self) -> ConcreteRelation:
         """The union of all rectangles G_x x G_y over related pairs."""
@@ -416,15 +402,18 @@ class GroupRelationAlgebra:
         """Sub-identity atoms 1'_x with their measures, read off the atom table.
 
         The measure of 1'_x is the number of atoms in 1'_x;1;1'_x, each of
-        which must be a permutation: conv(a);a = a;conv(a) = 1'_x.  Only the
-        public symbolic operations are used, so no relation is materialized.
+        which must be a permutation: conv(a);a = a;conv(a) = 1'_x.  1'_x;b is
+        empty unless b leaves x, so 1'_x;1 is read as 1'_x composed with the
+        atoms leaving x.  No relation is materialized.
         """
-        unit = self.unit()
+        leaving: dict[str, list[AtomIndex]] = {}
+        for a in self._atoms:
+            leaving.setdefault(a.x, []).append(a)
         entries = []
         for x in self.frame.order:
             one_x = self._own[(x, x, 0)]
             one = self.element([one_x])
-            square = self.compose(self.compose(one, unit), one)
+            square = self.compose(self.compose(one, FrameElement(self, frozenset(leaving[x]))), one)
             for a in square.sorted_atoms():
                 inverse = self.converse_atom(a)
                 if not self.compose_atoms(inverse, a) == self.compose_atoms(a, inverse) == one:

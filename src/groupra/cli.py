@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .algebra import AtomIndex, GroupRelationAlgebra, atom_relation_of
+from .algebra import AtomIndex, GroupRelationAlgebra
 from .errors import FrameBuildError, FrameFormatError
 from .fileformat import _content_bodies, _int, _ints, _read_text, emit_frame, parse_frame
 from .frames import Frame, check_frame_full, check_frame_reduced
@@ -80,8 +80,7 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
             )
         print(line)
         if args.pairs:
-            # each relation is printed once, so none is kept
-            for a, b in atom_relation_of(alg.frame, record, atom.alpha, alg.base).pairs():
+            for a, b in alg.atom_relation(atom).pairs():
                 print(f"{a} {b}")
     return 0
 

@@ -66,10 +66,10 @@ def check_partition(alg: GroupRelationAlgebra) -> Iterator[str]:
 
 @_capped
 def check_oracle_converse(alg: GroupRelationAlgebra) -> Iterator[str]:
-    for a in alg.atoms():
-        symbolic = alg.atom_relation(alg.converse_atom(a))
-        concrete = rel_converse(alg.atom_relation(a))
-        if symbolic != concrete:
+    """Each atom's materialized converse must equal its bit-matrix converse."""
+    rels = {a: alg.atom_relation(a) for a in alg.atoms()}
+    for a, rel in rels.items():
+        if rels[alg.converse_atom(a)] != rel_converse(rel):
             yield f"converse of {a.label()} disagrees with the oracle"
 
 

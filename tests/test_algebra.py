@@ -530,6 +530,28 @@ def test_materialize_unions_atoms():
         ALG.atom_relation(AtomIndex("0", "1", 0)),
         ALG.atom_relation(AtomIndex("0", "1", 2)),
     )
+    # d4q8d4: non-abelian, with maps that are not identities.  Every atom of a
+    # pair (x,y) has pairs in each row of G_x, so two of them share their rows.
+    path = Path(__file__).resolve().parent.parent / "frames" / "d4q8d4.frame"
+    frame = parse_frame(path.read_text())
+    assert check_frame_reduced(frame).ok
+    alg = GroupRelationAlgebra(frame)
+    by_pair: dict[tuple[str, str], list[AtomIndex]] = {}
+    for a in alg.atoms():
+        by_pair.setdefault((a.x, a.y), []).append(a)
+    samples = [list(two) for atoms in by_pair.values() for two in itertools.combinations(atoms, 2)]
+    samples += list(by_pair.values())
+    rng = random.Random(33)
+    samples += [rng.sample(alg.atoms(), k) for k in (2, 3, 5, 9, 17, 33) for _ in range(4)]
+    samples += [list(alg.atoms())]
+    assert any(len({(a.x, a.y) for a in atoms}) > 3 for atoms in samples)
+    size = alg.base.size
+    for atoms in samples:
+        expected = set().union(*(atom_pairs_by_definition(alg, a) for a in atoms))
+        assert alg.materialize(alg.element(atoms)) == ConcreteRelation.from_pairs(size, expected)
+    first, second = by_pair[("0", "1")][:2]
+    rows = [{i for i, row in enumerate(alg.atom_relation(a).rows) if row} for a in (first, second)]
+    assert rows[0] == rows[1] == set(range(8))
 
 
 def test_element_operations_match_oracle():
@@ -700,11 +722,41 @@ def test_measure_report_materializes_no_relation(monkeypatch):
         raise AssertionError(f"materialized {a.label()}")
 
     monkeypatch.setattr(GroupRelationAlgebra, "atom_relation", refuse)
+    monkeypatch.setattr(GroupRelationAlgebra, "materialize", refuse)
     running = fresh_running_algebra()
     assert [e.measure for e in running.measure_report().entries] == [6, 9]
     z1024 = GroupRelationAlgebra(build_complex_algebra_frame(make_cyclic(1024)))
     assert [e.measure for e in z1024.measure_report().entries] == [1024]
-    assert running._relation_cache == {} and z1024._relation_cache == {}
+
+
+def test_atom_relation_keeps_no_relation():
+    alg = fresh_running_algebra()
+    a = alg.atoms()[7]
+    rel = alg.atom_relation(a)
+    again = alg.atom_relation(a)
+    assert again == rel and again is not rel
+    dead = weakref.ref(rel)
+    del rel, again
+    gc.collect()
+    assert dead() is None
+
+
+def test_measure_composes_each_identity_atom_with_the_atoms_leaving_it(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "frames" / "z6z9.frame"
+    frame = parse_frame(path.read_text())
+    assert check_frame_reduced(frame).ok
+    alg = GroupRelationAlgebra(frame)
+    sizes = []
+    real = alg._compose_by_triple
+
+    def recording(left, right):
+        sizes.append(len(right))
+        return real(left, right)
+
+    monkeypatch.setattr(alg, "_compose_by_triple", recording)
+    assert [e.measure for e in alg.measure_report().entries] == [6, 9]
+    # 1'_0;1 reads the 6 + 3 atoms leaving 0, 1'_1;1 the 3 + 9 leaving 1; then ;1'_x
+    assert sizes == [9, 1, 12, 1]
 
 
 def test_measure_report_catches_a_broken_engine(monkeypatch):

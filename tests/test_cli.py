@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exact output and exit codes."""
 
 import contextlib
+import gc
 import io
 import os
 import random
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,7 @@ def test_atoms_reads_sizes_off_the_records(capsys, monkeypatch, name):
         raise AssertionError(f"atom {atom.label()} materialized")
 
     monkeypatch.setattr(GroupRelationAlgebra, "atom_relation", refuse)
+    monkeypatch.setattr(GroupRelationAlgebra, "materialize", refuse)
     assert run_cli(capsys, "atoms", path) == (0, listing, "")
     assert run_cli(capsys, "atoms", path, "--cosets") == (0, with_cosets, "")
     for plain, extended in zip(listing.splitlines(), with_cosets.splitlines(), strict=True):
@@ -167,8 +170,6 @@ def test_atoms_pairs(capsys, z6z9_file):
 
 @pytest.mark.parametrize("name", ["z6z9", "d4q8d4"])
 def test_atoms_pairs_keeps_no_relation(capsys, monkeypatch, name):
-    import groupra.cli
-
     path = str(Path(__file__).resolve().parent.parent / "frames" / f"{name}.frame")
     frame = parse_frame(Path(path).read_text())
     assert check_frame_reduced(frame).ok
@@ -179,10 +180,17 @@ def test_atoms_pairs_keeps_no_relation(capsys, monkeypatch, name):
         expected += f"{i} {atom.label()} {rel.count()}\n"
         expected += "".join(f"{a} {b}\n" for a, b in rel.pairs())
     built = []
-    real = groupra.cli._load_algebra
-    monkeypatch.setattr(groupra.cli, "_load_algebra", lambda p: built.append(real(p)) or built[-1])
+    real = GroupRelationAlgebra.materialize
+
+    def materialize(self, e):
+        rel = real(self, e)
+        built.append(weakref.ref(rel))
+        return rel
+
+    monkeypatch.setattr(GroupRelationAlgebra, "materialize", materialize)
     assert run_cli(capsys, "atoms", path, "--pairs") == (0, expected, "")
-    assert len(built) == 1 and built[0]._relation_cache == {}
+    gc.collect()
+    assert len(built) == len(alg.atoms()) and all(ref() is None for ref in built)
 
 
 def test_op_conv(capsys, z6z9_file):

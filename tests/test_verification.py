@@ -92,6 +92,20 @@ def test_converse_oracle_names_a_wrong_converse(running_frame, monkeypatch):
         assert check_oracle_converse(alg) == [expected]
 
 
+def test_converse_oracle_builds_each_relation_once(running_frame, monkeypatch):
+    alg = GroupRelationAlgebra(running_frame)
+    built = []
+    real = alg.atom_relation
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(alg, "atom_relation", counting)
+    assert check_oracle_converse(alg) == []
+    assert sorted(built, key=alg.atom_key) == list(alg.atoms())
+
+
 def test_image_equations_hold_on_random_frames():
     rng = random.Random(31)
     for _ in range(6):
