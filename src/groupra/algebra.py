@@ -363,21 +363,20 @@ class GroupRelationAlgebra:
 
         Each atom passes _require_atom.  The atom ((x,y),alpha) is the union
         over i of H_i x (K_i * K_alpha).  K is normal, so K_i * K_alpha is
-        the one K-coset holding k_i*k_alpha, read off the coset lookup; each
-        row of H_i ORs in that coset as its column mask, shifted to G_y's ids.
+        the one K-coset holding k_i*k_alpha, read off the coset lookup and
+        shifted to G_y's ids as the column mask of H_i; each row of G_x ORs
+        in the mask of its H-coset.
         """
         frame, base = self.frame, self.base
         rows = [0] * base.size
         for a in e._atoms:
             self._require_atom(a)
             record = frame.records[(a.x, a.y)]
-            k, op = record.k, frame.groups[a.y].op
-            offx, offy = base.offsets[a.x], base.offsets[a.y]
-            shift = k.reps[a.alpha]
-            for hc, rep in zip(record.h.cosets, k.reps):
-                cols = k.cosets[k.coset_of(op[rep][shift])] << offy
-                for p in iter_bits(hc):
-                    rows[offx + p] |= cols
+            k, op, offy = record.k, frame.groups[a.y].op, base.offsets[a.y]
+            shift, where, cosets = k.reps[a.alpha], k._where, k.cosets
+            cols = [cosets[where[op[rep][shift]]] << offy for rep in k.reps]
+            for p, i in enumerate(record.h._where, base.offsets[a.x]):
+                rows[p] |= cols[i]
         return ConcreteRelation(base.size, tuple(rows))
 
     def unit_relation(self) -> ConcreteRelation:
