@@ -91,16 +91,12 @@ class FrameElement:
     def atoms(self) -> frozenset[AtomIndex]:
         return self._atoms
 
-    def _require_same(self, other: "FrameElement") -> None:
-        if not isinstance(other, FrameElement) or self._algebra.frame is not other._algebra.frame:
-            raise FrameMismatchError("elements belong to different frames")
-
     def union(self, other: "FrameElement") -> "FrameElement":
-        self._require_same(other)
+        self._algebra._require_element(other)
         return FrameElement(self._algebra, self._atoms | other._atoms)
 
     def intersect(self, other: "FrameElement") -> "FrameElement":
-        self._require_same(other)
+        self._algebra._require_element(other)
         return FrameElement(self._algebra, self._atoms & other._atoms)
 
     def complement(self) -> "FrameElement":
@@ -201,6 +197,16 @@ class GroupRelationAlgebra:
             raise ValueError(f"{a!r} is not an AtomIndex")
         if type(a.alpha) is not int or a not in self.all_atoms:
             raise ValueError(f"{a!r} is not an atom of this frame")
+
+    def _require_element(self, e: FrameElement) -> None:
+        """The one element gate: e must be a FrameElement of this frame.
+
+        An element of any algebra over this Frame object passes; its atoms
+        passed _require_atom when that algebra made it, so nothing past this
+        gate checks them again.
+        """
+        if not isinstance(e, FrameElement) or e._algebra.frame is not self.frame:
+            raise FrameMismatchError("elements belong to different frames")
 
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
         """The union of the given atoms, each passed through _require_atom
@@ -316,12 +322,14 @@ class GroupRelationAlgebra:
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:
+        self._require_element(e)
         return FrameElement(self, frozenset(self.converse_atom(a) for a in e._atoms))
 
     def compose(self, e1: FrameElement, e2: FrameElement) -> FrameElement:
         """The union of a;b over the atoms a of e1 and b of e2, read one
         related triple at a time (see _compose_by_triple)."""
-        e1._require_same(e2)
+        self._require_element(e1)
+        self._require_element(e2)
         return FrameElement(self, self._compose_by_triple(e1._atoms, e2._atoms))
 
     def _compose_by_triple(
@@ -355,22 +363,23 @@ class GroupRelationAlgebra:
     # -- materialization -------------------------------------------------
 
     def atom_relation(self, a: AtomIndex) -> ConcreteRelation:
-        """The pairs of atom a (see materialize), built afresh on each call."""
+        """The pairs of atom a (see materialize), built afresh on each call;
+        a passes the atom gate once, in element."""
         return self.materialize(self.element([a]))
 
     def materialize(self, e: FrameElement) -> ConcreteRelation:
         """The pairs of e's atoms on global ids; the algebra keeps none.
 
-        Each atom passes _require_atom.  The atom ((x,y),alpha) is the union
-        over i of H_i x (K_i * K_alpha).  K is normal, so K_i * K_alpha is
-        the one K-coset holding k_i*k_alpha, read off the coset lookup and
-        shifted to G_y's ids as the column mask of H_i; each row of G_x ORs
-        in the mask of its H-coset.
+        e passes _require_element, and its atoms are not gated again.  The
+        atom ((x,y),alpha) is the union over i of H_i x (K_i * K_alpha).  K
+        is normal, so K_i * K_alpha is the one K-coset holding k_i*k_alpha,
+        read off the coset lookup and shifted to G_y's ids as the column mask
+        of H_i; each row of G_x ORs in the mask of its H-coset.
         """
+        self._require_element(e)
         frame, base = self.frame, self.base
         rows = [0] * base.size
         for a in e._atoms:
-            self._require_atom(a)
             record = frame.records[(a.x, a.y)]
             k, op, offy = record.k, frame.groups[a.y].op, base.offsets[a.y]
             shift, where, cosets = k.reps[a.alpha], k._where, k.cosets
@@ -401,18 +410,18 @@ class GroupRelationAlgebra:
         """Sub-identity atoms 1'_x with their measures, read off the atom table.
 
         The measure of 1'_x is the number of atoms in 1'_x;1;1'_x, each of
-        which must be a permutation: conv(a);a = a;conv(a) = 1'_x.  1'_x;b is
-        empty unless b leaves x, so 1'_x;1 is read as 1'_x composed with the
-        atoms leaving x.  No relation is materialized.
+        which must be a permutation: conv(a);a = a;conv(a) = 1'_x.  The last
+        ;1'_x keeps only composites whose middle is x, and those come only
+        from the square atoms ((x,x),beta) of 1, so 1'_x is composed with
+        them alone.  No relation is materialized.
         """
-        leaving: dict[str, list[AtomIndex]] = {}
-        for a in self._atoms:
-            leaving.setdefault(a.x, []).append(a)
+        records, own = self.frame.records, self._own
         entries = []
         for x in self.frame.order:
-            one_x = self._own[(x, x, 0)]
-            one = self.element([one_x])
-            square = self.compose(self.compose(one, FrameElement(self, frozenset(leaving[x]))), one)
+            one_x = own[(x, x, 0)]
+            one = FrameElement(self, frozenset([one_x]))
+            squares = frozenset(own[(x, x, b)] for b in range(records[(x, x)].kappa))
+            square = self.compose(self.compose(one, FrameElement(self, squares)), one)
             for a in square.sorted_atoms():
                 inverse = self.converse_atom(a)
                 if not self.compose_atoms(inverse, a) == self.compose_atoms(a, inverse) == one:

@@ -90,6 +90,11 @@ def _cyclic_cosets(n: int, kappa: int) -> CosetSystem:
     return CosetSystem(sub, tuple(sub << j for j in range(kappa)))
 
 
+def _cyclic_system(g: FiniteGroup, kappa: int) -> CosetSystem:
+    """The canonical system of <kappa> in the cyclic group g, the one g keeps."""
+    return enumerate_cosets(g, mask_of(range(0, g.order, kappa)))
+
+
 def cyclic_iso_record(x: str, y: str, nx: int, ny: int, kappa: int) -> IsoRecord:
     """The generator-matching isomorphism Z_nx / <kappa>  ->  Z_ny / <kappa>."""
     if nx % kappa or ny % kappa:
@@ -191,10 +196,13 @@ def build_cyclic_frame(orders: Sequence[int], kappa: KappaSpec) -> Frame:
     # one group per distinct order, shared by its indices as parse_frame does
     cyclic = {n: make_cyclic(n) for n in dict.fromkeys(orders)}
     groups = {ids[i]: cyclic[n] for i, n in enumerate(orders)}
-    isos = {
-        (ids[i], ids[j]): cyclic_iso_record(ids[i], ids[j], orders[i], orders[j], value)
-        for (i, j), value in pairs.items()
-    }
+    # the generator-matching map pairs the j-th cosets of <kappa> on both
+    # sides, and both lists are in canonical order: each record files the
+    # systems its groups keep (divisibility was checked above)
+    isos = {}
+    for (i, j), value in pairs.items():
+        h, k = (_cyclic_system(cyclic[orders[side]], value) for side in (i, j))
+        isos[(ids[i], ids[j])] = IsoRecord(ids[i], ids[j], h, k)
     blocks = [[ids[i] for i in block] for block in blocks_idx]
     return _finish(Frame(groups, blocks, isos), "cyclic frame")
 

@@ -605,6 +605,86 @@ def test_frame_mismatch_rejected():
         e1.compose(e2)
 
 
+def z6z9_at(kappa: int) -> GroupRelationAlgebra:
+    return GroupRelationAlgebra(build_cyclic_frame([6, 9], {(0, 1): kappa}))
+
+
+def test_every_element_operation_refuses_an_element_of_another_frame():
+    # e holds two atoms of the other frame.  Read through the atom gate alone,
+    # kappa 3 against 1 gave wrong answers (materialize 36 pairs; compose 5
+    # atoms, where the other frame gives 15), and kappa 1 against 3 raised
+    # ValueError or, in compose, IndexError
+    for mine, theirs in [(3, 1), (1, 3)]:
+        a, b = z6z9_at(mine), z6z9_at(theirs)
+        e = b.element(b.atoms()[6:8])
+        e2 = b.converse(e)
+        x = a.element(a.atoms()[6:8])
+        refused = [
+            lambda: a.materialize(e),
+            lambda: a.converse(e),
+            lambda: a.compose(e, e2),
+            lambda: a.compose(e, x),
+            lambda: a.compose(x, e),
+            lambda: x | e,
+            lambda: x & e,
+            lambda: a.materialize(x.atoms),
+            lambda: a.converse(x.atoms),
+            lambda: a.compose(x, x.atoms),
+        ]
+        for op in refused:
+            with pytest.raises(FrameMismatchError, match=r"^elements belong to different frames$"):
+                op()
+        assert len(b.compose(e, e2)) == (15 if theirs == 1 else 6)
+
+
+def test_an_element_of_a_second_algebra_over_the_same_frame_gets_the_same_answers():
+    frame = build_cyclic_frame([6, 9], {(0, 1): 3})
+    a, b = GroupRelationAlgebra(frame), GroupRelationAlgebra(frame)
+    rng = random.Random(34)
+    e, e2 = (b.element(rng.sample(b.atoms(), 8)) for _ in range(2))
+    x = a.element(rng.sample(a.atoms(), 8))
+    assert a.materialize(e) == b.materialize(e) == e.relation()
+    assert a.converse(e) == b.converse(e) == e.converse()
+    assert a.compose(e, e2) == b.compose(e, e2) == e.compose(e2)
+    assert a.compose(x, e) == b.compose(x, e) and a.compose(e, x) == b.compose(e, x)
+    assert (x | e).atoms == x.atoms | e.atoms and (x & e).atoms == x.atoms & e.atoms
+    assert (e | x) == (x | e) and (e & x) == (x & e)
+
+
+def test_materialize_gates_the_element_and_not_its_atoms(monkeypatch):
+    alg = fresh_running_algebra()
+    calls = []
+    real = alg._require_atom
+
+    def counting(a):
+        calls.append(a)
+        real(a)
+
+    monkeypatch.setattr(alg, "_require_atom", counting)
+    assert alg.materialize(alg.unit()) == alg.unit_relation()
+    assert calls == []
+    a = alg.atoms()[7]
+    alg.atom_relation(a)
+    assert calls == [a]
+
+
+def test_element_relation_is_its_materialization():
+    alg = fresh_running_algebra()
+    e = alg.element(alg.atoms()[6:9])
+    rel = e.relation()
+    assert rel == alg.materialize(e)
+    # ((0,1),0), ((0,1),1), ((0,1),2) cover G_0 x G_1: 6 * 9 pairs
+    assert sum(row.bit_count() for row in rel.rows) == 54
+    assert alg.unit().relation() == alg.unit_relation()
+
+
+def test_element_equality_with_a_non_element_is_not_implemented():
+    e = ALG.element([AtomIndex("0", "1", 0)])
+    assert e.__eq__(AtomIndex("0", "1", 0)) is NotImplemented
+    assert e.__eq__(e.atoms) is NotImplemented
+    assert e != e.atoms and e.atoms != e and e != 0
+
+
 def union_of_atom_compositions(alg: GroupRelationAlgebra, e1, e2) -> frozenset:
     """e1;e2 by definition: the union of a;b over every atom pair."""
     out = frozenset()
@@ -741,7 +821,7 @@ def test_atom_relation_keeps_no_relation():
     assert dead() is None
 
 
-def test_measure_composes_each_identity_atom_with_the_atoms_leaving_it(monkeypatch):
+def test_measure_composes_each_identity_atom_with_its_square_atoms(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "frames" / "z6z9.frame"
     frame = parse_frame(path.read_text())
     assert check_frame_reduced(frame).ok
@@ -755,8 +835,8 @@ def test_measure_composes_each_identity_atom_with_the_atoms_leaving_it(monkeypat
 
     monkeypatch.setattr(alg, "_compose_by_triple", recording)
     assert [e.measure for e in alg.measure_report().entries] == [6, 9]
-    # 1'_0;1 reads the 6 + 3 atoms leaving 0, 1'_1;1 the 3 + 9 leaving 1; then ;1'_x
-    assert sizes == [9, 1, 12, 1]
+    # 1'_0 is composed with the 6 square atoms of 0, 1'_1 with the 9 of 1; then ;1'_x
+    assert sizes == [6, 1, 9, 1]
 
 
 def test_measure_report_catches_a_broken_engine(monkeypatch):

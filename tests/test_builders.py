@@ -12,7 +12,7 @@ from groupra.builders import (
     merge_frames,
 )
 from groupra.errors import FrameBuildError, InvalidFrameError, NotASubgroupError
-from groupra.groups import make_cyclic, mask_of, validate_table
+from groupra.groups import enumerate_cosets, make_cyclic, mask_of, validate_table
 from groupra.relations import cayley_relation
 
 KLEIN = [
@@ -142,6 +142,19 @@ def test_cyclic_frame_shares_one_group_per_order():
     assert frame.groups["1"] is frame.groups["3"]
     assert frame.groups["0"] is not frame.groups["1"]
     assert [g.order for g in frame.groups.values()] == orders
+
+
+def test_cyclic_frame_files_the_coset_systems_its_groups_keep():
+    # orders repeat, kappas repeat across pairs, and a zero splits index 3 off
+    orders = [12, 6, 12, 8]
+    kappa = [[12, 6, 4, 0], [6, 6, 2, 0], [4, 2, 12, 0], [0, 0, 0, 8]]
+    frame = build_cyclic_frame(orders, kappa)
+    assert len(frame.isos) == 3
+    for (x, y), record in frame.isos.items():
+        gx, gy = frame.groups[x], frame.groups[y]
+        assert record.h is enumerate_cosets(gx, record.h.subgroup)
+        assert record.k is enumerate_cosets(gy, record.k.subgroup)
+        assert record.h.subgroup == mask_of(range(0, gx.order, record.h.count))
 
 
 def test_cyclic_frame_atom_counts():

@@ -288,6 +288,21 @@ def test_frame_equality_is_structural():
     assert a == running_pair()
 
 
+def test_frame_equality_with_a_non_frame_is_not_implemented():
+    frame = running_pair()
+    assert frame.__eq__(frame._signature()) is NotImplemented
+    assert frame.__eq__(None) is NotImplemented
+    assert frame != frame._signature() and frame != "frame"
+
+
+def test_frame_repr_names_its_indices_and_blocks():
+    shipped = Path(__file__).resolve().parent.parent / "frames"
+    frame = parse_frame((shipped / "z6z9.frame").read_text())
+    assert repr(frame) == "Frame(indices=['0', '1'], blocks=[['0', '1']])"
+    split = build_cyclic_frame([2, 3, 4], [[2, 0, 2], [0, 3, 0], [2, 0, 4]])
+    assert repr(split) == "Frame(indices=['0', '1', '2'], blocks=[['0', '2'], ['1']])"
+
+
 def induced_lists(frame: Frame, x: str, y: str, z: str) -> tuple:
     """P0's system and the M0- and N0-coset lists it induces at (x,y,z)."""
     p = _p0(frame, x, y, z)
