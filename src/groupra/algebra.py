@@ -3,16 +3,19 @@
 Atoms are index triples ((x,y),alpha): over the pair of groups (G_x, G_y)
 the alpha-th relation glues H-cosets to shifted K-cosets.  Everything the
 algebra does (converse, composition, the Boolean operations) happens on
-atom index sets; concrete pair sets are only materialized on request, which
-is what the relation oracle then cross-checks.
+atom index sets, each kept as one int: bit i stands for atoms()[i].  The
+atoms of a pair (x,y) sit next to each other in that order, so the alphas
+of the pair are one chunk of kappa_xy bits, and every operation reads an
+element pair by pair.  No element holds a set of atoms: FrameElement.atoms
+builds one on each access.  Concrete pair sets are only materialized on
+request, which is what the relation oracle then cross-checks.
 
 Composition is read off the isomorphism G_x/M0 -> G_y/P0 -> G_z/N0 that a
 related triple (x,y,z) induces, with P0 = K_xy*H_yz (frames._p0): condition
 (iv) holds exactly when it makes every composition of two atoms a union of
 atoms, so one lookup rule per triple, built on first use, answers every
-atom pair of that triple.  Elements compose one triple at a time: their
-atoms are grouped by pair, and each triple both operands reach reads all
-its atom pairs off its rule at once.
+atom pair of that triple.  Elements compose one triple at a time: each
+triple both operands reach reads all its atom pairs off its rule at once.
 
 The closed forms for pairs with a square atom (fast_compose_subidentity)
 read the same way: H and K are normal, so a translate or product of their
@@ -21,11 +24,11 @@ cosets is the coset of a product of representatives, one coset lookup each.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from bisect import bisect_right
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FrameMismatchError, InvalidFrameError, UncheckedFrameError
 from .frames import Frame, _p0, _slots, check_frame_reduced
-from .groups import iter_bits
 from .relations import ConcreteRelation, identity_on
 
 __all__ = [
@@ -47,10 +50,36 @@ class AtomIndex(NamedTuple):
         return f"(({self.x},{self.y}),{self.alpha})"
 
 
-_NO_ATOMS: frozenset[AtomIndex] = frozenset()
+# atoms_at, k_rows, h_reps, shift of one related triple; see GroupRelationAlgebra._rule
+_Rule = tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]
+# x, y, the bit of ((x,y),0), and kappa_xy one bits: one pair's place in a mask
+_Pair = tuple[str, str, int, int]
 
-# atoms_at, k_rows, h_reps of one related triple; see GroupRelationAlgebra._rule
-_Rule = tuple[list[frozenset[AtomIndex]], list[tuple[int, ...]], tuple[int, ...]]
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending.
+
+    A few bits are taken lowest first, by mask & -mask; each step costs a
+    pass over the whole mask, so more bits are read off its binary digits,
+    written out once: one step per digit where most digits are 1, and one
+    str.find per set bit, which skips the 0 digits in C, where few are.
+    """
+    count = mask.bit_count()
+    if count <= 8:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)[:1:-1]
+    if 4 * count >= len(digits):
+        return [i for i, digit in enumerate(digits) if digit == "1"]
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class BaseSpace:
@@ -70,18 +99,20 @@ class BaseSpace:
 
 
 class FrameElement:
-    """A union of atoms of one frame, kept as an atom-index set.
+    """A union of atoms of one frame, kept as one int: bit i stands for
+    algebra.atoms()[i].
 
-    Elements are read-only values: they hash by frame and atoms, and an
+    Elements are read-only values: they hash by frame and mask, and an
     algebra hands its one empty element to every caller (see
-    GroupRelationAlgebra.zero), so neither field can be assigned.
+    GroupRelationAlgebra.zero), so neither field can be assigned.  ``atoms``
+    builds a frozenset of the algebra's own atom objects on each access.
     """
 
-    __slots__ = ("_algebra", "_atoms")
+    __slots__ = ("_algebra", "_mask")
 
-    def __init__(self, algebra: "GroupRelationAlgebra", atoms: frozenset[AtomIndex]):
+    def __init__(self, algebra: "GroupRelationAlgebra", mask: int):
         self._algebra = algebra
-        self._atoms = atoms
+        self._mask = mask
 
     @property
     def algebra(self) -> "GroupRelationAlgebra":
@@ -89,18 +120,18 @@ class FrameElement:
 
     @property
     def atoms(self) -> frozenset[AtomIndex]:
-        return self._atoms
+        return frozenset(map(self._algebra._atoms.__getitem__, _bits(self._mask)))
 
     def union(self, other: "FrameElement") -> "FrameElement":
         self._algebra._require_element(other)
-        return FrameElement(self._algebra, self._atoms | other._atoms)
+        return FrameElement(self._algebra, self._mask | other._mask)
 
     def intersect(self, other: "FrameElement") -> "FrameElement":
         self._algebra._require_element(other)
-        return FrameElement(self._algebra, self._atoms & other._atoms)
+        return FrameElement(self._algebra, self._mask & other._mask)
 
     def complement(self) -> "FrameElement":
-        return FrameElement(self._algebra, self._algebra.all_atoms - self._atoms)
+        return FrameElement(self._algebra, ((1 << len(self._algebra._atoms)) - 1) ^ self._mask)
 
     __or__ = union
     __and__ = intersect
@@ -115,18 +146,21 @@ class FrameElement:
         return self._algebra.materialize(self)
 
     def sorted_atoms(self) -> list[AtomIndex]:
-        return sorted(self._atoms, key=self._algebra.atom_key)
+        """The atoms in bit order, which is atom_key order: pairs run by
+        position of x, then of y, and each block keeps declaration order."""
+        atoms = self._algebra._atoms
+        return [atoms[i] for i in _bits(self._mask)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameElement):
             return NotImplemented
-        return self._algebra.frame is other._algebra.frame and self._atoms == other._atoms
+        return self._algebra.frame is other._algebra.frame and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((id(self._algebra.frame), self._atoms))
+        return hash((id(self._algebra.frame), self._mask))
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return self._mask.bit_count()
 
     def __repr__(self) -> str:
         inner = ",".join(a.label() for a in self.sorted_atoms())
@@ -148,8 +182,10 @@ class MeasureReport(NamedTuple):
 class GroupRelationAlgebra:
     """Atom-level operations over a frame that already passed a check."""
 
-    # the empty element, set on first use by zero()
+    # the empty element, set on first use by zero(), and the pair layout,
+    # set on first use by _pairs
     _zero: FrameElement | None = None
+    _layout: tuple[list[_Pair], list[int]] | None = None
 
     def __init__(self, frame: Frame):
         report = frame.last_check
@@ -165,16 +201,23 @@ class GroupRelationAlgebra:
         records = frame.records.items()
         atoms = [new(AtomIndex, (x, y, a)) for (x, y), r in records for a in range(r.kappa)]
         self._atoms = tuple(atoms)
-        # the algebra's one object of each atom, which every method hands out;
-        # a plain (x, y, alpha) key finds it, so none is built after this
-        self._own = {a: a for a in atoms}
-        self.all_atoms = frozenset(self._own)  # reuses the dict's hashes
+        # the bit of each atom; a plain (x, y, alpha) key finds it, and
+        # _atoms[bit] is the algebra's one object of the atom, which every
+        # method hands out, so none is built after this
+        self._own = dict(zip(atoms, range(len(atoms))))
         self._rules: dict[tuple[str, str, str], _Rule] = {}
+        # alpha -> the alpha of its converse, per pair; see _flip
+        self._flips: dict[tuple[str, str], list[int]] = {}
 
     # -- atom bookkeeping ------------------------------------------------
 
     def atoms(self) -> tuple[AtomIndex, ...]:
         return self._atoms
+
+    @property
+    def all_atoms(self) -> frozenset[AtomIndex]:
+        """Every atom, as a frozenset built on each access."""
+        return frozenset(self._atoms)
 
     def atom_key(self, a: AtomIndex) -> tuple[int, int, int]:
         return (self.frame.pos[a.x], self.frame.pos[a.y], a.alpha)
@@ -189,32 +232,73 @@ class GroupRelationAlgebra:
         an atom, and membership alone would let them in.
         """
         try:
-            if self._own.get(a) is a:
+            if self._atoms[self._own[a]] is a:
                 return
-        except TypeError:  # unhashable, so no atom: the type tests name it
+        except (KeyError, TypeError):  # no atom, or unhashable: the tests below name it
             pass
         if type(a) is not AtomIndex:
             raise ValueError(f"{a!r} is not an AtomIndex")
-        if type(a.alpha) is not int or a not in self.all_atoms:
+        if type(a.alpha) is not int or a not in self._own:
             raise ValueError(f"{a!r} is not an atom of this frame")
 
     def _require_element(self, e: FrameElement) -> None:
         """The one element gate: e must be a FrameElement of this frame.
 
-        An element of any algebra over this Frame object passes; its atoms
-        passed _require_atom when that algebra made it, so nothing past this
-        gate checks them again.
+        An element of any algebra over this Frame object passes: both lay
+        their atoms out alike, and the algebra that made e gated its atoms
+        through _require_atom, so nothing past this gate checks them again.
         """
         if not isinstance(e, FrameElement) or e._algebra.frame is not self.frame:
             raise FrameMismatchError("elements belong to different frames")
 
+    def _pairs(self) -> tuple[list[_Pair], list[int]]:
+        """(x, y, offset, full) for each related pair (x,y), in atom order,
+        and the offsets alone: bit offset + alpha of a mask stands for
+        ((x,y),alpha), and full is the chunk of all kappa_xy atoms.
+
+        Built on first use, not in __init__, so an algebra that reads no
+        element (one point query, say) pays nothing for it.
+        """
+        layout = self._layout
+        if layout is None:
+            own = self._own
+            pairs = [
+                (x, y, own[(x, y, 0)], (1 << r.kappa) - 1)
+                for (x, y), r in self.frame.records.items()
+            ]
+            layout = self._layout = (pairs, [p[2] for p in pairs])
+        return layout
+
+    def _chunks(self, mask: int) -> Iterator[tuple[str, str, int, int, int]]:
+        """(x, y, offset, full, chunk) for each pair (x,y) where mask has
+        atoms, in atom order: bit alpha of chunk stands for ((x,y),alpha).
+        The walk runs from the pair of the lowest atom to that of the
+        highest, so a small element of a large algebra visits few pairs."""
+        if not mask:
+            return
+        pairs, offsets = self._pairs()
+        end = mask.bit_length()
+        for i in range(bisect_right(offsets, (mask & -mask).bit_length() - 1) - 1, len(pairs)):
+            x, y, offset, full = pairs[i]
+            if offset >= end:
+                return
+            chunk = mask >> offset & full
+            if chunk:
+                yield x, y, offset, full, chunk
+
     def element(self, atoms: Iterable[AtomIndex]) -> FrameElement:
         """The union of the given atoms, each passed through _require_atom
-        before any is hashed."""
+        before any is hashed.  The bits are set in a byte array and read
+        as one int at the end: ORing each bit into a growing int would cost
+        a pass over the whole mask per atom."""
         atoms = list(atoms)
         for a in atoms:
             self._require_atom(a)
-        return FrameElement(self, frozenset(atoms))
+        own, bits = self._own, bytearray((len(self._atoms) + 7) >> 3)
+        for a in atoms:
+            i = own[a]
+            bits[i >> 3] |= 1 << (i & 7)
+        return FrameElement(self, int.from_bytes(bits, "little"))
 
     def zero(self) -> FrameElement:
         """The empty element, one object per algebra, built on first use.
@@ -226,22 +310,34 @@ class GroupRelationAlgebra:
         """
         empty = self._zero
         if empty is None:
-            empty = self._zero = FrameElement(self, _NO_ATOMS)
+            empty = self._zero = FrameElement(self, 0)
         return empty
 
     def unit(self) -> FrameElement:
-        return FrameElement(self, self.all_atoms)
+        return FrameElement(self, (1 << len(self._atoms)) - 1)
 
     def identity_element(self) -> FrameElement:
-        return FrameElement(self, frozenset(self._own[(x, x, 0)] for x in self.frame.order))
+        own, mask = self._own, 0
+        for x in self.frame.order:
+            mask |= 1 << own[(x, x, 0)]
+        return FrameElement(self, mask)
 
     # -- the operations --------------------------------------------------
 
+    def _flip(self, x: str, y: str) -> list[int]:
+        """alpha -> the alpha of the converse of ((x,y),alpha), an atom of
+        (y,x); built on first use, one table per pair."""
+        flip = self._flips.get((x, y))
+        if flip is None:
+            h = self.frame.records[(x, y)].h
+            inverse, where = self.frame.groups[x].inverse, h._where
+            # H is normal, so the inverse of the coset rH is the coset of r^-1
+            flip = self._flips[(x, y)] = [where[inverse[r]] for r in h.reps]
+        return flip
+
     def converse_atom(self, a: AtomIndex) -> AtomIndex:
         self._require_atom(a)
-        h = self.frame.records[(a.x, a.y)].h
-        # H is normal, so the inverse of the coset rH is the coset of r^-1
-        return self._own[(a.y, a.x, h.coset_of(self.frame.groups[a.x].inverse[h.reps[a.alpha]]))]
+        return self._atoms[self._own[(a.y, a.x, 0)] + self._flip(a.x, a.y)[a.alpha]]
 
     def compose_atoms(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
         """a;b, read off the rule of the triple (x,y,z) when a.y == b.x.
@@ -260,8 +356,8 @@ class GroupRelationAlgebra:
         rule = self._rules.get((a.x, a.y, b.y))
         if rule is None:
             rule = self._rule(a.x, a.y, b.y)
-        atoms_at, k_rows, h_reps = rule
-        return FrameElement(self, atoms_at[k_rows[a.alpha][h_reps[b.alpha]]])
+        atoms_at, k_rows, h_reps, shift = rule
+        return FrameElement(self, atoms_at[k_rows[a.alpha][h_reps[b.alpha]]] << shift)
 
     def _rule(self, x: str, y: str, z: str) -> _Rule:
         """Build and keep the rule of the related triple (x,y,z).
@@ -270,23 +366,24 @@ class GroupRelationAlgebra:
         H_beta, because K_xy is normal; the least coset elements serve as k
         and h.  The composite holds the (x,z) atoms whose H_xz-cosets lie in
         the M0-coset that the induced isomorphism pairs with that P0-coset
-        (frames._slots).  So the rule is three tables: atoms_at, the
-        composite for each element of G_y (one frozenset of the algebra's
-        own atom objects, shared by a whole P0-coset); k_rows, the row of
-        G_y's table for each k; and h_reps, each h.  The answer for
-        (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]].
+        (frames._slots).  So the rule is three tables and a shift: atoms_at,
+        the composite for each element of G_y (one chunk of (x,z) alphas,
+        shared by a whole P0-coset); k_rows, the row of G_y's table for each
+        k; h_reps, each h; and shift, the bit of ((x,z),0).  The answer for
+        (alpha, beta) is atoms_at[k_rows[alpha][h_reps[beta]]] << shift.
+        Each chunk is kappa_xz bits wide, not as wide as the whole algebra.
         P0 is the system frames._p0 gives, the one the frame check read; M0
         and N0 get no system of their own.
         """
-        frame, records, own = self.frame, self.frame.records, self._own
+        frame, records = self.frame, self.frame.records
         p = _p0(frame, x, y, z)
-        inside: list[list[AtomIndex]] = [[] for _ in range(p.count)]
+        inside = [0] * p.count
         for g, j in enumerate(_slots(records[(y, x)], records[(x, z)], p)):
-            inside[j].append(own[(x, z, g)])
-        sets = [frozenset(atoms) for atoms in inside]
-        atoms_at = [sets[j] for j in p._where]
+            inside[j] |= 1 << g
+        atoms_at = [inside[j] for j in p._where]
         k_rows = [frame.groups[y].op[r] for r in records[(x, y)].k.reps]
-        rule = self._rules[(x, y, z)] = (atoms_at, k_rows, records[(y, z)].h.reps)
+        rule = (atoms_at, k_rows, records[(y, z)].h.reps, self._own[(x, z, 0)])
+        self._rules[(x, y, z)] = rule
         return rule
 
     def fast_compose_subidentity(self, a: AtomIndex, b: AtomIndex) -> FrameElement:
@@ -300,65 +397,85 @@ class GroupRelationAlgebra:
         """
         self._require_atom(a)
         self._require_atom(b)
-        frame = self.frame
+        frame, own = self.frame, self._own
         if a.y != b.x:
             return self.compose_atoms(a, b)
         if a.x == a.y:
             # alpha*H_beta
             h = frame.records[(b.x, b.y)].h
             gamma = h.coset_of(frame.groups[a.x].op[a.alpha][h.reps[b.alpha]])
-            return FrameElement(self, frozenset([self._own[(b.x, b.y, gamma)]]))
+            return FrameElement(self, 1 << own[(b.x, b.y, gamma)])
         if b.x == b.y:
             # K_alpha*beta
             k = frame.records[(a.x, a.y)].k
             gamma = k.coset_of(frame.groups[b.x].op[k.reps[a.alpha]][b.alpha])
-            return FrameElement(self, frozenset([self._own[(a.x, a.y, gamma)]]))
+            return FrameElement(self, 1 << own[(a.x, a.y, gamma)])
         if b.y == a.x:
-            # H_alpha*H_beta, whose elements name the square atoms
+            # H_alpha*H_beta, whose elements are the alphas of the square atoms
             h = frame.records[(a.x, a.y)].h
             prod = h.cosets[h.coset_of(frame.groups[a.x].op[h.reps[a.alpha]][h.reps[b.alpha]])]
-            own = self._own
-            return FrameElement(self, frozenset(own[(a.x, a.x, f)] for f in iter_bits(prod)))
+            return FrameElement(self, prod << own[(a.x, a.x, 0)])
         return self.compose_atoms(a, b)
 
     def converse(self, e: FrameElement) -> FrameElement:
+        """Each pair's chunk mapped through the pair's _flip table onto the
+        chunk of (y,x); the chunk of all of a pair's atoms maps onto the
+        chunk of all of (y,x)'s, which needs no table."""
         self._require_element(e)
-        return FrameElement(self, frozenset(self.converse_atom(a) for a in e._atoms))
+        own, out = self._own, 0
+        for x, y, _, full, chunk in self._chunks(e._mask):
+            if chunk != full:
+                flip, alphas, chunk = self._flip(x, y), _bits(chunk), 0
+                for alpha in alphas:
+                    chunk |= 1 << flip[alpha]
+            out |= chunk << own[(y, x, 0)]
+        return FrameElement(self, out)
 
     def compose(self, e1: FrameElement, e2: FrameElement) -> FrameElement:
         """The union of a;b over the atoms a of e1 and b of e2, read one
         related triple at a time (see _compose_by_triple)."""
         self._require_element(e1)
         self._require_element(e2)
-        return FrameElement(self, self._compose_by_triple(e1._atoms, e2._atoms))
+        return FrameElement(self, self._compose_by_triple(e1._mask, e2._mask))
 
-    def _compose_by_triple(
-        self, left: frozenset[AtomIndex], right: frozenset[AtomIndex]
-    ) -> frozenset[AtomIndex]:
-        """The alphas of left grouped by pair (x,y), the betas of right by
-        middle y, then by z: each triple (x,y,z) that both sides reach
-        fetches its rule once and reads the answers of all its alpha x beta
-        pairs off it in one pass.  Pairs whose middles differ are never
-        formed.
+    def _compose_by_triple(self, left: int, right: int) -> int:
+        """The chunks of right grouped by middle y, then read pair by pair
+        along left (the pair walk of _chunks, written out on this hot path):
+        each triple (x,y,z) that both sides reach fetches its rule once, ORs
+        the answers of all its alpha x beta pairs and shifts them into place
+        once.  Pairs whose middles differ are never formed.
         """
-        alphas_at: dict[tuple[str, str], list[int]] = {}
-        for x, y, alpha in left:
-            alphas_at.setdefault((x, y), []).append(alpha)
-        betas_at: dict[str, dict[str, list[int]]] = {}
-        for y, z, beta in right:
-            betas_at.setdefault(y, {}).setdefault(z, []).append(beta)
-        rules = self._rules
-        answers: list[frozenset[AtomIndex]] = []
-        for (x, y), alphas in alphas_at.items():
-            for z, betas in betas_at.get(y, {}).items():
+        pairs = self._pairs()[0]
+        betas_at: dict[str, list[tuple[str, list[int]]]] = {}
+        end = right.bit_length()
+        for y, z, offset, full in pairs:
+            if offset >= end:
+                break
+            chunk = right >> offset & full
+            if chunk:
+                betas_at.setdefault(y, []).append((z, _bits(chunk)))
+        rules, out = self._rules, 0
+        end = left.bit_length()
+        for x, y, offset, full in pairs:
+            if offset >= end:
+                break
+            reached = betas_at.get(y)
+            chunk = left >> offset & full
+            if reached is None or not chunk:
+                continue
+            alphas = _bits(chunk)
+            for z, betas in reached:
                 rule = rules.get((x, y, z))
                 if rule is None:
                     rule = self._rule(x, y, z)
-                atoms_at, k_rows, h_reps = rule
-                answers += [
-                    atoms_at[k_rows[alpha][h_reps[beta]]] for alpha in alphas for beta in betas
-                ]
-        return frozenset().union(*answers)
+                atoms_at, k_rows, h_reps, shift = rule
+                union = 0
+                for alpha in alphas:
+                    row = k_rows[alpha]
+                    for beta in betas:
+                        union |= atoms_at[row[h_reps[beta]]]
+                out |= union << shift
+        return out
 
     # -- materialization -------------------------------------------------
 
@@ -379,13 +496,16 @@ class GroupRelationAlgebra:
         self._require_element(e)
         frame, base = self.frame, self.base
         rows = [0] * base.size
-        for a in e._atoms:
-            record = frame.records[(a.x, a.y)]
-            k, op, offy = record.k, frame.groups[a.y].op, base.offsets[a.y]
-            shift, where, cosets = k.reps[a.alpha], k._where, k.cosets
-            cols = [cosets[where[op[rep][shift]]] << offy for rep in k.reps]
-            for p, i in enumerate(record.h._where, base.offsets[a.x]):
-                rows[p] |= cols[i]
+        for x, y, _, _, chunk in self._chunks(e._mask):
+            record = frame.records[(x, y)]
+            k, op, offy = record.k, frame.groups[y].op, base.offsets[y]
+            reps, where, cosets = k.reps, k._where, k.cosets
+            h_where, offx = record.h._where, base.offsets[x]
+            for alpha in _bits(chunk):
+                shift = reps[alpha]
+                cols = [cosets[where[op[rep][shift]]] << offy for rep in reps]
+                for p, i in enumerate(h_where, offx):
+                    rows[p] |= cols[i]
         return ConcreteRelation(base.size, tuple(rows))
 
     def unit_relation(self) -> ConcreteRelation:
@@ -418,10 +538,10 @@ class GroupRelationAlgebra:
         records, own = self.frame.records, self._own
         entries = []
         for x in self.frame.order:
-            one_x = own[(x, x, 0)]
-            one = FrameElement(self, frozenset([one_x]))
-            squares = frozenset(own[(x, x, b)] for b in range(records[(x, x)].kappa))
-            square = self.compose(self.compose(one, FrameElement(self, squares)), one)
+            bit = own[(x, x, 0)]
+            one_x, one = self._atoms[bit], FrameElement(self, 1 << bit)
+            squares = FrameElement(self, ((1 << records[(x, x)].kappa) - 1) << bit)
+            square = self.compose(self.compose(one, squares), one)
             for a in square.sorted_atoms():
                 inverse = self.converse_atom(a)
                 if not self.compose_atoms(inverse, a) == self.compose_atoms(a, inverse) == one:

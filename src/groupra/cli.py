@@ -52,7 +52,7 @@ def _atom_arg(alg: GroupRelationAlgebra, x: str, y: str, alpha_token: str) -> At
         print(f"atom index must be an integer, got {alpha_token!r}", file=sys.stderr)
         raise SystemExit(2) from None
     atom = AtomIndex(x, y, alpha)
-    if atom not in alg.all_atoms:
+    if atom not in alg._own:
         print(f"no such atom (({x},{y}),{alpha})", file=sys.stderr)
         raise SystemExit(1)
     return atom
@@ -119,16 +119,15 @@ def _cmd_op(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
     atoms = alg.atoms()
-    # each cell prints as repr would, from labels and sort keys made once
+    # each cell prints as repr would, from labels made once
     label = {a: a.label() for a in atoms}
-    key = {a: alg.atom_key(a) for a in atoms}.__getitem__
     empty = alg.zero()
 
     def cell(a: AtomIndex, b: AtomIndex) -> str:
         product = alg.compose_atoms(a, b)
         if product is empty:
             return "{}"
-        return "{" + ",".join(label[c] for c in sorted(product.atoms, key=key)) + "}"
+        return "{" + ",".join(label[c] for c in product.sorted_atoms()) + "}"
 
     print("cols: " + " ".join(label.values()))
     for a in atoms:

@@ -16,7 +16,7 @@ import itertools
 import random
 from typing import Callable, Iterator, ParamSpec
 
-from .algebra import AtomIndex, FrameElement, GroupRelationAlgebra
+from .algebra import FrameElement, GroupRelationAlgebra
 from .frames import Frame, try_image
 from .groups import complex_product
 from .relations import rel_compose, rel_converse
@@ -77,14 +77,14 @@ def check_oracle_converse(alg: GroupRelationAlgebra) -> Iterator[str]:
 def check_oracle_composition(alg: GroupRelationAlgebra) -> Iterator[str]:
     """Materialized compose_atoms must equal bit-matrix composition, all pairs."""
     rels = {a: alg.atom_relation(a) for a in alg.atoms()}
-    union_cache: dict[frozenset[AtomIndex], tuple[int, ...]] = {}
+    union_cache: dict[FrameElement, tuple[int, ...]] = {}
     for a in alg.atoms():
         for b in alg.atoms():
             expected = rel_compose(rels[a], rels[b])
             got = alg.compose_atoms(a, b)
-            rows = union_cache.get(got.atoms)
+            rows = union_cache.get(got)
             if rows is None:
-                rows = union_cache[got.atoms] = alg.materialize(got).rows
+                rows = union_cache[got] = alg.materialize(got).rows
             if rows != expected.rows:
                 yield f"{a.label()};{b.label()} disagrees with the oracle"
 
@@ -112,16 +112,18 @@ def check_associativity(alg: GroupRelationAlgebra, cap: int = 30) -> Iterator[st
     in index order are swept (deterministic either way).
     """
     atoms = alg.atoms()[:cap]
+    compose, empty = alg.compose_atoms, alg.zero()
+    # the atoms of each b;c, read once
+    after = {(b, c): compose(b, c).sorted_atoms() for b in atoms for c in atoms}
     for a in atoms:
         for b in atoms:
-            ab = alg.compose_atoms(a, b).atoms
+            ab = compose(a, b).sorted_atoms()
             for c in atoms:
-                left: set[AtomIndex] = set()
+                left = right = empty
                 for t in ab:
-                    left |= alg.compose_atoms(t, c).atoms
-                right: set[AtomIndex] = set()
-                for t in alg.compose_atoms(b, c).atoms:
-                    right |= alg.compose_atoms(a, t).atoms
+                    left = left | compose(t, c)
+                for t in after[b, c]:
+                    right = right | compose(a, t)
                 if left != right:
                     yield f"associativity fails at {a.label()},{b.label()},{c.label()}"
 

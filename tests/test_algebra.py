@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -309,11 +310,22 @@ def test_element_fields_are_read_only(field):
     assert len(alg.compose_atoms(AtomIndex("0", "1", 1), AtomIndex("0", "1", 1))) == 0
 
 
-def test_compose_atoms_cached():
+def test_compose_atoms_cached(monkeypatch):
+    alg = fresh_running_algebra()
+    built = []
+    real = alg._rule
+
+    def counting(x, y, z):
+        built.append((x, y, z))
+        return real(x, y, z)
+
+    monkeypatch.setattr(alg, "_rule", counting)
     a, b = AtomIndex("0", "1", 0), AtomIndex("1", "0", 0)
-    first = ALG.compose_atoms(a, b)
-    second = ALG.compose_atoms(a, b)
-    assert first.atoms is second.atoms
+    first = alg.compose_atoms(a, b)
+    second = alg.compose_atoms(a, b)
+    # one rule is built, and the second call reads it to an equal element
+    assert built == [("0", "1", "0")]
+    assert first == second and first is not second
 
 
 def test_composition_reads_one_rule_per_triple(monkeypatch):
@@ -701,9 +713,14 @@ def s4_cubed_along_v4() -> Frame:
     return build_power_frame(s4, v4, ["0", "1", "2"])
 
 
+def z60_to_the_fourth() -> Frame:
+    frame = build_cyclic_frame([60] * 4, {(i, j): 12 for i in range(4) for j in range(i + 1, 4)})
+    assert check_frame_reduced(frame).ok
+    return frame
+
+
 def composition_frames() -> list[Frame]:
-    z60 = build_cyclic_frame([60] * 4, {(i, j): 12 for i in range(4) for j in range(i + 1, 4)})
-    return shipped_frames() + [z60, s4_cubed_along_v4()]
+    return shipped_frames() + [z60_to_the_fourth(), s4_cubed_along_v4()]
 
 
 def test_element_composition_is_the_union_of_its_atom_compositions():
@@ -725,13 +742,77 @@ def test_element_composition_is_the_union_of_its_atom_compositions():
         for block in frame.blocks:
             inside = [a for a in atoms if a.x in block]
             samples.append(alg.element(rng.sample(inside, min(5, len(inside)))))
+        everything = frozenset(atoms)
         for e1 in samples:
+            assert e1.converse().atoms == {alg.converse_atom(a) for a in e1.atoms}, e1
+            assert e1.complement().atoms == everything - e1.atoms, e1
             for e2 in samples:
                 assert alg.compose(e1, e2).atoms == union_of_atom_compositions(alg, e1, e2), (
                     frame.order,
                     e1,
                     e2,
                 )
+                assert (e1 | e2).atoms == e1.atoms | e2.atoms, (e1, e2)
+                assert (e1 & e2).atoms == e1.atoms & e2.atoms, (e1, e2)
+
+
+def test_element_converse_gates_no_atom(monkeypatch):
+    frame = z60_to_the_fourth()
+    a, b = GroupRelationAlgebra(frame), GroupRelationAlgebra(frame)
+    e = b.element(random.Random(35).sample(b.atoms(), 40))
+    calls = []
+    for alg in (a, b):
+        real = alg._require_atom
+
+        def counting(atom, real=real):
+            calls.append(atom)
+            real(atom)
+
+        monkeypatch.setattr(alg, "_require_atom", counting)
+    # every atom of an element passed the gate when its algebra made it
+    assert a.converse(a.unit()) == a.unit()
+    assert a.converse(b.unit()) == a.unit()
+    mine, theirs = a.converse(e), b.converse(e)
+    assert calls == []
+    assert mine == theirs and mine.atoms == {b.converse_atom(t) for t in e.atoms}
+
+
+def test_elements_of_a_large_algebra_keep_a_few_kilobytes():
+    # 8 copies of Z1024 at kappa 256: 8 * 1024 + 56 * 256 = 22,528 atoms.  As
+    # frozensets of atoms the three results below kept 1, 1 and 2 MB
+    frame = build_cyclic_frame([1024] * 8, {(i, j): 256 for i in range(8) for j in range(i + 1, 8)})
+    assert check_frame_reduced(frame).ok
+    alg = GroupRelationAlgebra(frame)
+    assert len(alg.atoms()) == 22528
+    for op in [
+        lambda: alg.zero().complement(),
+        lambda: alg.compose(alg.identity_element(), alg.unit()),
+        lambda: alg.converse(alg.unit()),
+    ]:
+        # the first call builds what the algebra keeps (its rules and its
+        # pair layout); the second shows what the element alone keeps
+        assert op() == alg.unit()
+        tracemalloc.start()
+        try:
+            kept = op()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept == alg.unit()
+        assert size < 16 << 10, size
+
+
+def test_an_algebra_lays_out_its_pairs_on_first_use():
+    alg = GroupRelationAlgebra(z60_to_the_fourth())
+    # an algebra that reads no element builds no layout and no atom set
+    assert vars(alg).keys() == {"frame", "base", "_atoms", "_own", "_rules", "_flips"}
+    assert alg.all_atoms == frozenset(alg.atoms())
+    assert alg.converse_atom(alg.atoms()[300]) in alg.all_atoms
+    assert "_layout" not in vars(alg)
+    alg.compose(alg.unit(), alg.identity_element())
+    pairs, offsets = alg._layout
+    assert [(x, y) for x, y, _, _ in pairs] == list(alg.frame.records)
+    assert offsets == [alg.atoms().index(AtomIndex(x, y, 0)) for x, y, _, _ in pairs]
 
 
 def test_element_composition_builds_only_the_rules_it_reads():
@@ -746,8 +827,7 @@ def test_element_composition_builds_only_the_rules_it_reads():
 
 
 def test_rules_build_no_coset_system_but_p0(monkeypatch):
-    frame = build_cyclic_frame([60] * 4, {(i, j): 12 for i in range(4) for j in range(i + 1, 4)})
-    assert check_frame_reduced(frame).ok
+    frame = z60_to_the_fourth()
     alg = GroupRelationAlgebra(frame)
     groups = list({id(g): g for g in frame.groups.values()}.values())
     before = sum(len(g._cosets) for g in groups)
@@ -830,7 +910,7 @@ def test_measure_composes_each_identity_atom_with_its_square_atoms(monkeypatch):
     real = alg._compose_by_triple
 
     def recording(left, right):
-        sizes.append(len(right))
+        sizes.append(right.bit_count())
         return real(left, right)
 
     monkeypatch.setattr(alg, "_compose_by_triple", recording)
