@@ -759,7 +759,7 @@ def test_element_composition_is_the_union_of_its_atom_compositions():
 def test_element_converse_gates_no_atom(monkeypatch):
     frame = z60_to_the_fourth()
     a, b = GroupRelationAlgebra(frame), GroupRelationAlgebra(frame)
-    e = b.element(random.Random(35).sample(b.atoms(), 40))
+    e = b.element(random.Random(7).sample(b.atoms(), 40))
     calls = []
     for alg in (a, b):
         real = alg._require_atom
