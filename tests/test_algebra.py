@@ -198,7 +198,7 @@ def test_atoms_handed_out_are_the_algebras_own_objects(name):
 
 def test_zero_unit_identity():
     assert len(ALG.zero()) == 0
-    assert ALG.unit().atoms == ALG.all_atoms
+    assert ALG.unit().atoms == frozenset(ALG.atoms())
     ident = ALG.identity_element()
     assert ident.sorted_atoms() == [AtomIndex("0", "0", 0), AtomIndex("1", "1", 0)]
     assert ALG.materialize(ident) == identity_on(15)
@@ -742,6 +742,17 @@ def test_element_composition_is_the_union_of_its_atom_compositions():
         for block in frame.blocks:
             inside = [a for a in atoms if a.x in block]
             samples.append(alg.element(rng.sample(inside, min(5, len(inside)))))
+        # the first and last bit of the lowest and of the highest pair, alone
+        # and together: the bounds of every walk over an element
+        chunks = list(by_pair.values())
+        lowest, highest = chunks[0], chunks[-1]
+        edges = [lowest[0], lowest[-1], highest[0], highest[-1]]
+        boundary = [alg.element([a]) for a in edges]
+        boundary += [alg.element([lowest[-1], highest[0]]), alg.element([lowest[0], highest[-1]])]
+        for e in boundary:
+            pairs = set().union(*(atom_pairs_by_definition(alg, a) for a in e.atoms))
+            assert alg.materialize(e) == ConcreteRelation.from_pairs(alg.base.size, pairs), e
+        samples += boundary
         everything = frozenset(atoms)
         for e1 in samples:
             assert e1.converse().atoms == {alg.converse_atom(a) for a in e1.atoms}, e1
@@ -806,13 +817,59 @@ def test_an_algebra_lays_out_its_pairs_on_first_use():
     alg = GroupRelationAlgebra(z60_to_the_fourth())
     # an algebra that reads no element builds no layout and no atom set
     assert vars(alg).keys() == {"frame", "base", "_atoms", "_own", "_rules", "_flips"}
-    assert alg.all_atoms == frozenset(alg.atoms())
-    assert alg.converse_atom(alg.atoms()[300]) in alg.all_atoms
+    assert alg.converse_atom(alg.atoms()[300]) in frozenset(alg.atoms())
     assert "_layout" not in vars(alg)
     alg.compose(alg.unit(), alg.identity_element())
     pairs, offsets = alg._layout
     assert [(x, y) for x, y, _, _ in pairs] == list(alg.frame.records)
     assert offsets == [alg.atoms().index(AtomIndex(x, y, 0)) for x, y, _, _ in pairs]
+
+
+def span_by_definition(alg: GroupRelationAlgebra, mask: int) -> list:
+    """The pairs from that of mask's lowest atom to that of its highest,
+    read atom by atom: (x, y, index of ((x,y),0), kappa_xy one bits)."""
+    atoms = alg.atoms()
+    bits = [i for i in range(len(atoms)) if mask >> i & 1]
+    if not bits:
+        return []
+    pairs = list(dict.fromkeys((a.x, a.y) for a in atoms))
+    low = pairs.index(atoms[bits[0]][:2])
+    high = pairs.index(atoms[bits[-1]][:2])
+    return [
+        (x, y, atoms.index(AtomIndex(x, y, 0)), (1 << sum(a[:2] == (x, y) for a in atoms)) - 1)
+        for x, y in pairs[low : high + 1]
+    ]
+
+
+def test_span_runs_from_the_pair_of_the_lowest_atom_to_that_of_the_highest():
+    rng = random.Random(36)
+    interleaved = build_cyclic_frame([4, 6, 8], {(0, 2): 2})
+    for frame in shipped_frames() + [interleaved]:
+        alg = GroupRelationAlgebra(frame)
+        n = len(alg.atoms())
+        masks = [0] + [1 << i for i in range(n)]
+        masks += [sum(1 << i for i in rng.sample(range(n), rng.randint(2, 3))) for _ in range(40)]
+        masks += [rng.getrandbits(n) for _ in range(10)]
+        for mask in masks:
+            assert alg._span(mask) == span_by_definition(alg, mask), (frame.order, bin(mask))
+
+
+def test_measure_report_spans_one_pair_per_walk(monkeypatch):
+    # 16 copies of Z1024 at kappa 1024: each 1'_x and its square atoms lie in
+    # the pair (x,x), so no walk may visit the pairs below or above it
+    frame = build_cyclic_frame([1024] * 16, {(i, j): 1024 for i in range(16) for j in range(i + 1, 16)})
+    alg = GroupRelationAlgebra(frame)
+    spans = []
+    real = alg._span
+
+    def counting(mask):
+        span = real(mask)
+        spans.append(len(span))
+        return span
+
+    monkeypatch.setattr(alg, "_span", counting)
+    assert [e.measure for e in alg.measure_report().entries] == [1024] * 16
+    assert spans and set(spans) == {1}
 
 
 def test_element_composition_builds_only_the_rules_it_reads():
